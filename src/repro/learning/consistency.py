@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple, Union
 
 from repro.automata.dfa import DFA, symbol_sort_key
+from repro.exceptions import NoConsistentPathError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.learning.examples import ExampleSet, Word
 from repro.query.engine import QueryEngine
@@ -107,10 +108,18 @@ def examples_admit_query(graph: LabeledGraph, examples: ExampleSet, *, max_path_
     positive node must have at least one word (of any length; we search up
     to ``max_path_length``) that no negative node can spell — otherwise any
     query selecting the positive necessarily selects a negative too.
-    """
-    from repro.learning.path_selection import consistent_words_for
 
-    for node in examples.positive_nodes:
-        if not consistent_words_for(graph, node, examples.negative_nodes, max_length=max_path_length, limit=1):
-            return False
+    The positives are checked together in one sweep of the language index
+    and the first one in ``str`` order that fails decides, as in the
+    learner's step (i): ``False`` when it has no uncovered word,
+    :class:`NodeNotFoundError` when it is absent from the graph.
+    """
+    from repro.learning.path_selection import select_paths
+
+    try:
+        select_paths(
+            graph, examples.positive_nodes, examples.negative_nodes, max_length=max_path_length
+        )
+    except NoConsistentPathError:
+        return False
     return True

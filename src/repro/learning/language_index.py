@@ -293,9 +293,10 @@ class LanguageIndex:
 
         Words of ``preferred_length`` win when present, otherwise the
         shortest; ties break lexicographically.  Only the ids at the
-        winning length are decoded, which is what makes per-positive path
-        selection constant-shaped instead of proportional to the node's
-        whole uncovered language.
+        winning length are decoded.  This is the one-node reference:
+        choosing words for many nodes at once goes through
+        :meth:`pick_words`, which sweeps the uncovered words once instead
+        of intersecting and decoding once per node.
         """
         if not bits:
             return None
@@ -309,6 +310,42 @@ class LanguageIndex:
                 if at_length:
                     return min(self.decode(at_length))
         return None
+
+    def pick_words(self, node_bits: int, banned: int) -> Dict[int, Word]:
+        """``pick_word(language & ~banned)`` of every node in ``node_bits``, in one sweep.
+
+        ``node_bits`` is a bitset of node positions.  The sweep walks the
+        word ids outside ``banned`` once, in ``(len, word)`` order — the
+        order :meth:`pick_word` takes its ``min`` in — and hands each word
+        to the still-pending nodes among its spellers.  A node's first
+        word is therefore its shortest word outside ``banned``, ties
+        broken lexicographically, as :meth:`pick_word` would choose it,
+        and the cost is one bitset ``&`` per word swept rather than one
+        language intersection and decode per node.
+
+        Returns node position -> word; a position whose whole language
+        lies in ``banned`` is missing.
+        """
+        chosen: Dict[int, Word] = {}
+        pending = node_bits
+        word_of = self.arena.word_of
+        spellers = self._spellers
+        masks = self._masks_by_length()
+        for length in range(1, len(masks)):
+            if not pending:
+                break
+            candidates = masks[length] & ~banned
+            for word, word_id in sorted(
+                (word_of(word_id), word_id) for word_id in iter_bits(candidates)
+            ):
+                hits = spellers.get(word_id, 0) & pending
+                if hits:
+                    pending ^= hits
+                    for position in iter_bits(hits):
+                        chosen[position] = word
+                    if not pending:
+                        break
+        return chosen
 
     def decode(self, bits: int) -> Set[Word]:
         """The bitset ``bits`` as a set of label tuples."""

@@ -30,7 +30,7 @@ from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.learning.consistency import ConsistencyReport, check_consistency
 from repro.learning.examples import ExampleSet, Word
 from repro.learning.language_index import CompatibilityOracle
-from repro.learning.path_selection import select_path
+from repro.learning.path_selection import select_paths
 from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 
@@ -104,38 +104,28 @@ class PathQueryLearner:
         """Pick the sample word of every positive node.
 
         Validated words are honoured verbatim; for the remaining positive
-        nodes the shortest uncovered word is selected.  Raises
+        nodes the shortest uncovered word is selected, all of them in one
+        sweep of the language index (:func:`select_paths`).  Raises
         :class:`InconsistentExamplesError` when some positive node has no
         uncovered word at all (no consistent query exists within the
-        length bound).
+        length bound); the first such node in ``str`` order is reported.
         """
-        chosen: Dict[Node, Word] = {}
-        graph = self.graph
-        negatives = [node for node in examples.negative_nodes if node in graph]
-        # one negative-cover bitset serves every positive node of this call
-        # (select_path would otherwise re-derive it per positive)
-        index = self.workspace.language_index(graph, self.max_path_length)
-        banned = index.cover(negatives)
-        for node in sorted(examples.positive_nodes, key=str):
-            validated = examples.validated_word(node)
-            if validated is not None:
-                chosen[node] = validated
-                continue
-            try:
-                chosen[node] = select_path(
-                    graph,
-                    node,
-                    negatives,
-                    max_length=self.max_path_length,
-                    cover_bits=banned,
-                    index=index,
-                )
-            except NoConsistentPathError as error:
-                raise InconsistentExamplesError(
-                    f"positive node {node!r} has no path uncovered by the negative examples "
-                    f"(searched up to length {self.max_path_length})",
-                    conflicting=[node],
-                ) from error
+        validated = examples.validated_words()
+        try:
+            chosen = select_paths(
+                self.graph,
+                [node for node in examples.positive_nodes if node not in validated],
+                examples.negative_nodes,
+                max_length=self.max_path_length,
+                index=self.workspace.language_index(self.graph, self.max_path_length),
+            )
+        except NoConsistentPathError as error:
+            raise InconsistentExamplesError(
+                f"positive node {error.node!r} has no path uncovered by the negative examples "
+                f"(searched up to length {self.max_path_length})",
+                conflicting=[error.node],
+            ) from error
+        chosen.update(validated)
         return chosen
 
     # ------------------------------------------------------------------

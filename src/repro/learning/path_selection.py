@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.prefix_tree import PathPrefixTree, build_path_prefix_tree
-from repro.exceptions import NoConsistentPathError
+from repro.exceptions import NoConsistentPathError, NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.graph.paths import has_word
 from repro.learning.language_index import LanguageIndex
@@ -102,9 +102,8 @@ def consistent_words_for(
     if limit is not None and limit <= 0:
         return []
     if limit == 1:
-        # the consistency checker probes per-positive non-emptiness this
-        # way; pick_word reads the answer off the bitset without decoding
-        # (and sorting) the node's whole uncovered language
+        # pick_word reads the answer off the bitset without decoding (and
+        # sorting) the node's whole uncovered language
         word = index.pick_word(uncovered)
         if word is not None:
             return [word]
@@ -124,7 +123,6 @@ def select_path(
     *,
     max_length: int,
     preferred_length: Optional[int] = None,
-    cover_bits: Optional[int] = None,
     index: Optional[LanguageIndex] = None,
 ) -> Word:
     """Pick the candidate word for a positive node.
@@ -133,26 +131,64 @@ def select_path(
     ``preferred_length`` is given (the radius of the last neighbourhood the
     user inspected), words of exactly that length are preferred, matching
     the heuristic the paper uses to pre-highlight a path in Figure 3(c).
-
-    ``cover_bits`` optionally passes a precomputed negative-cover bitset
-    (``workspace.language_index(graph, max_length).cover(...)``) so callers
-    selecting words for many positive nodes — the learner's step (i) —
-    derive the cover once instead of once per node.
+    Callers choosing words for many nodes use :func:`select_paths`.
 
     Raises :class:`NoConsistentPathError` when every word of the node up to
     ``max_length`` is covered by a negative.
     """
     negative_nodes = [item for item in negatives if item in graph]
     index = _resolve_index(graph, max_length, index)
-    if cover_bits is None:
-        cover_bits = index.cover(negative_nodes)
-    uncovered = index.language(node) & ~cover_bits
+    uncovered = index.language(node) & ~index.cover(negative_nodes)
     word = index.pick_word(uncovered, preferred_length)
     if word is not None:
         return word
     if not negative_nodes:
         return ()  # the empty-word fallback of consistent_words_for
     raise NoConsistentPathError(node, max_length)
+
+
+def select_paths(
+    graph: LabeledGraph,
+    nodes: Iterable[Node],
+    negatives: Iterable[Node],
+    *,
+    max_length: int,
+    index: Optional[LanguageIndex] = None,
+) -> Dict[Node, Word]:
+    """:func:`select_path` for every node of ``nodes``, in one index sweep.
+
+    Each node gets the word :func:`select_path` would pick for it, with
+    the same ``()`` fallback when there is no negative.  Failures come in
+    the order of one :func:`select_path` call per node in ``str`` order:
+    the first node that fails decides, raising
+    :class:`NodeNotFoundError` when it is absent from the graph and
+    :class:`NoConsistentPathError` when every word it spells is covered.
+
+    The negatives are filtered and their cover built once, and
+    :meth:`LanguageIndex.pick_words` places every node in one walk over
+    the uncovered words, so the cost grows with the uncovered words plus
+    the nodes rather than with nodes × negatives.
+    """
+    negative_nodes = [item for item in negatives if item in graph]
+    index = _resolve_index(graph, max_length, index)
+    ordered = sorted(nodes, key=str)
+    positions = [index.node_positions.get(node) for node in ordered]
+    pending = 0
+    for position in positions:
+        if position is not None:
+            pending |= 1 << position
+    picked = index.pick_words(pending, index.cover(negative_nodes))
+    chosen: Dict[Node, Word] = {}
+    for node, position in zip(ordered, positions):
+        if position is None:
+            raise NodeNotFoundError(node)
+        word = picked.get(position)
+        if word is None:
+            if negative_nodes:
+                raise NoConsistentPathError(node, max_length)
+            word = ()  # the empty-word fallback of select_path
+        chosen[node] = word
+    return chosen
 
 
 def candidate_prefix_tree(

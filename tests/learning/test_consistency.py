@@ -1,8 +1,31 @@
 """Unit tests for the consistency checker."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.exceptions import NodeNotFoundError
 from repro.learning.consistency import check_consistency, examples_admit_query, is_consistent
 from repro.learning.examples import ExampleSet
 from repro.query.rpq import PathQuery
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
+
+#: Prints examples_admit_query for +N4 -N6 +ghost on figure 1, in a fresh process.
+_ADMIT_SNIPPET = """
+from repro.graph.datasets import motivating_example
+from repro.learning.consistency import examples_admit_query
+from repro.learning.examples import ExampleSet
+
+examples = ExampleSet()
+examples.add_positive("N4")
+examples.add_negative("N6")
+examples.add_positive("ghost")
+print(examples_admit_query(motivating_example(), examples, max_path_length=3))
+"""
 
 
 def paper_examples() -> ExampleSet:
@@ -83,3 +106,37 @@ class TestExamplesAdmitQuery:
         examples.add_positive("N4")
         examples.add_negative("N6")
         assert not examples_admit_query(figure1_graph, examples, max_path_length=3)
+
+    def test_first_failing_positive_in_str_order_decides(self, figure1_graph):
+        # N4 is blocked by N6 and sorts before the absent "ghost"; an absent
+        # positive that sorts first raises instead
+        blocked_first = ExampleSet()
+        blocked_first.add_positive("N4")
+        blocked_first.add_negative("N6")
+        blocked_first.add_positive("ghost")
+        assert not examples_admit_query(figure1_graph, blocked_first, max_path_length=3)
+        absent_first = ExampleSet()
+        absent_first.add_positive("N4")
+        absent_first.add_negative("N6")
+        absent_first.add_positive("A-ghost")
+        with pytest.raises(NodeNotFoundError):
+            examples_admit_query(figure1_graph, absent_first, max_path_length=3)
+
+    def _admit_in_fresh_process(self, hash_seed: int) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = str(SRC_DIR) + (os.pathsep + existing if existing else "")
+        completed = subprocess.run(
+            [sys.executable, "-c", _ADMIT_SNIPPET],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return completed.stdout.strip()
+
+    def test_identical_across_hash_seeds(self):
+        # the positives are a frozenset, whose iteration order is salted:
+        # which positive decides must not depend on it
+        assert self._admit_in_fresh_process(0) == "False"
+        assert self._admit_in_fresh_process(1) == "False"

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from repro.exceptions import InconsistentExamplesError, NodeNotFoundError
+from repro.exceptions import InconsistentExamplesError, NoConsistentPathError, NodeNotFoundError
 from repro.graph.generators import random_graph
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.paths import words_from
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import (
@@ -29,8 +30,9 @@ from repro.learning.language_index import (
     popcount,
 )
 from repro.learning.learner import PathQueryLearner
+from repro.learning.path_selection import select_path
 from repro.query.engine import QueryEngine
-from repro.serving.workspace import default_workspace
+from repro.serving.workspace import GraphWorkspace, default_workspace
 
 
 def language_index_for(graph, max_length):
@@ -410,3 +412,168 @@ class TestIndexIsASnapshot:
         assert rebuilt is not index
         assert rebuilt.decode(rebuilt.language(node)) == words_from(graph, node, 3)
         assert isinstance(rebuilt, LanguageIndex)
+
+
+# ----------------------------------------------------------------------
+# one-sweep word selection (learner step (i))
+# ----------------------------------------------------------------------
+def _random_case(seed):
+    """A seeded random graph, a path bound 1–4, and the rng that drew them."""
+    rng = random.Random(seed)
+    graph = random_graph(rng.randint(6, 24), rng.randint(10, 70), ("a", "b", "c"), seed=seed)
+    return rng, graph, rng.randint(1, 4)
+
+
+def _assert_sweep_matches_pick_word(index, rng, rounds=4):
+    """pick_words == per-node pick_word(language & ~cover) on random example sets."""
+    nodes = sorted(index.nodes, key=str)
+    for _ in range(rounds):
+        rng.shuffle(nodes)
+        negatives = nodes[: rng.randint(0, 3)]
+        positives = nodes[len(negatives) : len(negatives) + rng.randint(1, len(nodes))]
+        banned = index.cover(negatives)
+        node_bits = 0
+        expected = {}
+        for node in positives:
+            position = index.node_positions[node]
+            node_bits |= 1 << position
+            word = index.pick_word(index.language(node) & ~banned)
+            if word is not None:
+                expected[position] = word
+        assert index.pick_words(node_bits, banned) == expected
+
+
+class TestPickWordsSweep:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fresh_index(self, seed):
+        rng, graph, bound = _random_case(seed)
+        index = LanguageIndex(graph, bound)
+        _assert_sweep_matches_pick_word(index, rng)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_restricted_view(self, seed):
+        rng, graph, bound = _random_case(seed)
+        workspace = GraphWorkspace()
+        parent = workspace.language_index(graph, bound + 1)
+        view = workspace.language_index(graph, bound)
+        assert view.arena is parent.arena and view.max_length == bound
+        _assert_sweep_matches_pick_word(view, rng)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_delta_refreshed_index(self, seed):
+        rng, graph, bound = _random_case(seed)
+        workspace = GraphWorkspace()
+        workspace.language_index(graph, bound)
+        for _ in range(3):
+            nodes = sorted(graph.nodes(), key=str)
+            retire = rng.sample(sorted(graph.edges()), min(3, graph.edge_count))
+            admit = [(rng.choice(nodes), rng.choice("abcd"), rng.choice(nodes)) for _ in range(3)]
+            graph.apply_delta(add_edges=admit, remove_edges=retire)
+            workspace.refresh(graph)
+            _assert_sweep_matches_pick_word(workspace.language_index(graph, bound), rng, rounds=2)
+        assert workspace.stats()["language_index_refreshes"] > 0
+
+    def test_nothing_pending_or_everything_banned(self, figure1_graph):
+        index = LanguageIndex(figure1_graph, 3)
+        everything = index.cover(index.nodes)
+        all_nodes = (1 << len(index.nodes)) - 1
+        assert index.pick_words(0, 0) == {}
+        assert index.pick_words(all_nodes, everything) == {}
+
+
+def _reference_sample_words(graph, examples, max_length, index):
+    """Step (i) as one select_path call per positive, in str order."""
+    negatives = [node for node in examples.negative_nodes if node in graph]
+    chosen = {}
+    for node in sorted(examples.positive_nodes, key=str):
+        validated = examples.validated_word(node)
+        if validated is not None:
+            chosen[node] = validated
+            continue
+        try:
+            chosen[node] = select_path(graph, node, negatives, max_length=max_length, index=index)
+        except NoConsistentPathError:
+            return InconsistentExamplesError, node
+        except NodeNotFoundError:
+            return NodeNotFoundError, node
+    return chosen
+
+
+class TestSelectSampleWordsSweep:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_per_positive_select_path(self, seed):
+        rng, graph, bound = _random_case(seed)
+        learner = PathQueryLearner(graph, max_path_length=bound, workspace=GraphWorkspace())
+        index = learner.workspace.language_index(graph, bound)
+        nodes = sorted(graph.nodes(), key=str)
+        for _ in range(6):
+            rng.shuffle(nodes)
+            examples = ExampleSet()
+            for node in nodes[: rng.randint(0, 3)]:
+                examples.add_negative(node)
+            for node in nodes[len(examples.negative_nodes) :][: rng.randint(1, 10)]:
+                words = sorted(words_from(graph, node, bound), key=lambda w: (len(w), w))
+                validated = rng.choice(words) if words and rng.random() < 0.3 else None
+                examples.add_positive(node, validated_word=validated)
+            if rng.random() < 0.2:
+                examples.add_positive(rng.choice(("A-ghost", "z-ghost")))
+            expected = _reference_sample_words(graph, examples, bound, index)
+            if isinstance(expected, tuple):
+                error, node = expected
+                with pytest.raises(error) as raised:
+                    learner.select_sample_words(examples)
+                if error is InconsistentExamplesError:
+                    assert raised.value.conflicting == (node,)
+                else:
+                    assert raised.value.node == node
+            else:
+                assert learner.select_sample_words(examples) == expected
+
+    def test_validated_words_and_empty_word_fallback(self, figure1_graph):
+        learner = PathQueryLearner(figure1_graph, max_path_length=3, workspace=GraphWorkspace())
+        examples = ExampleSet()
+        examples.add_positive("C1")  # a sink: only the empty word
+        examples.add_positive("N2", validated_word=("bus", "tram", "cinema"))
+        examples.add_positive("N4")
+        assert learner.select_sample_words(examples) == {
+            "C1": (),
+            "N2": ("bus", "tram", "cinema"),
+            "N4": ("cinema",),
+        }
+
+    def test_first_failing_positive_in_str_order_decides(self, figure1_graph):
+        # N6 covers 'cinema', N4's only word within bound 3
+        learner = PathQueryLearner(figure1_graph, max_path_length=3, workspace=GraphWorkspace())
+        blocked_first = ExampleSet()
+        blocked_first.add_positive("ghost")
+        blocked_first.add_positive("N4")
+        blocked_first.add_negative("N6")
+        with pytest.raises(InconsistentExamplesError) as raised:
+            learner.select_sample_words(blocked_first)
+        assert raised.value.conflicting == ("N4",)
+        absent_first = ExampleSet()
+        absent_first.add_positive("N4")
+        absent_first.add_positive("A-ghost")
+        absent_first.add_negative("N6")
+        with pytest.raises(NodeNotFoundError):
+            learner.select_sample_words(absent_first)
+
+    def test_negatives_are_filtered_once_per_call(self, figure1_graph, monkeypatch):
+        # filtering the negatives again per positive costs |P| x |N| checks
+        learner = PathQueryLearner(figure1_graph, max_path_length=3, workspace=GraphWorkspace())
+        learner.workspace.language_index(figure1_graph, 3)
+        examples = ExampleSet()
+        for node in ("N1", "N2", "N4", "N6"):
+            examples.add_positive(node)
+        for node in ("N5", "C1", "C2"):
+            examples.add_negative(node)
+        checks = []
+        contains = LabeledGraph.__contains__
+
+        def counting(graph, node):
+            checks.append(node)
+            return contains(graph, node)
+
+        monkeypatch.setattr(LabeledGraph, "__contains__", counting)
+        learner.select_sample_words(examples)
+        assert len(checks) <= len(examples.negative_nodes)
