@@ -48,6 +48,7 @@ from repro.learning.examples import ExampleSet
 from repro.learning.learner import PathQueryLearner
 from repro.query.engine import QueryEngine
 from repro.regex.ast import EMPTY, EPSILON, Regex, Symbol
+from repro.serving.workspace import GraphWorkspace
 
 from conftest import write_artifact
 
@@ -384,7 +385,7 @@ def _run_session(dataset: str, goal: str, max_path_length: int):
             [UserSatisfied(user.goal_answer), MaxInteractions(MAX_INTERACTIONS)]
         ),
         max_path_length=max_path_length,
-        engine=engine,
+        workspace=GraphWorkspace(engine=engine),
     )
     result = session.run()
     return graph, session, result

@@ -40,6 +40,7 @@ from repro.learning.informativeness import NodeStatus, SessionClassifier
 from repro.learning.learner import PathQueryLearner
 from repro.learning.path_selection import _endpoints_of
 from repro.query.engine import QueryEngine
+from repro.serving.workspace import GraphWorkspace
 
 from conftest import write_artifact
 
@@ -159,10 +160,15 @@ def _seed_candidate_prefix_tree(graph, node, negatives, max_length, preferred_le
 class _SeedLearner(PathQueryLearner):
     """The learner with the pre-index step (i) and compatibility predicate."""
 
-    def __init__(self, graph, *, max_path_length, engine):
-        super().__init__(
-            graph, max_path_length=max_path_length, engine=engine, compatibility="engine"
-        )
+    def _compatible(self, examples):
+        graph = self.graph
+        selects = self.engine.selects
+        negatives = sorted(examples.negative_nodes, key=str)
+
+        def check(candidate):
+            return not any(selects(graph, candidate, node) for node in negatives)
+
+        return check
 
     def select_sample_words(self, examples):
         chosen = {}
@@ -261,7 +267,7 @@ def _run_current_session(graph, goal, *, engine=None):
             [UserSatisfied(user.goal_answer), MaxInteractions(MAX_INTERACTIONS)]
         ),
         max_path_length=MAX_PATH_LENGTH,
-        engine=engine,
+        workspace=GraphWorkspace(engine=engine),
     )
     result = session.run()
     return result.interaction_trace(), result.learned_query, result.halted_by

@@ -349,10 +349,6 @@ class NeighborhoodIndex:
             raise RuntimeError("the graph of this NeighborhoodIndex was garbage-collected")
         return graph
 
-    def owns(self, graph: LabeledGraph) -> bool:
-        """True when this index was built for ``graph`` (and it is alive)."""
-        return self._graph_ref() is graph
-
     def refresh(self, graph: LabeledGraph) -> Tuple[int, int]:
         """Catch up with ``graph``, dropping only delta-reachable states.
 

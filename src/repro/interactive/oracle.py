@@ -19,17 +19,16 @@ exactly the questions the GPS front-end would ask a person:
 A :class:`NoisyUser` wrapper flips labels with a configurable probability
 to study robustness (used by an ablation benchmark), and an
 :class:`UnreliableUser` wrapper turns any oracle into a *failing* one —
-its answers raise :class:`~repro.exceptions.InjectedFault` (and
-optionally stall) on a deterministic, seeded schedule, which is how the
-chaos harness exercises the supervision layer.
+its answers raise :class:`~repro.exceptions.InjectedFault` on a
+deterministic, seeded schedule, which is how the chaos harness exercises
+the supervision layer.
 """
 
 from __future__ import annotations
 
 import random
-import time
 import zlib
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.automata.dfa import word_sort_key
 from repro.automata.prefix_tree import PathPrefixTree
@@ -217,29 +216,15 @@ class UnreliableUser:
     oracle's state (e.g. a :class:`NoisyUser`'s rng stream).  That is
     what makes retry-until-success produce the same answers, hence the
     same final hypothesis, as the fault-free run.
-
-    ``delay_seconds`` optionally stalls answers whose ``…#delay`` site
-    fires, for exercising step deadlines; the sleep function is
-    injectable so tests need not actually wait.
     """
 
-    def __init__(
-        self,
-        inner: SimulatedUser,
-        injector,
-        *,
-        delay_seconds: float = 0.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, inner: SimulatedUser, injector):
         self.inner = inner
         self.injector = injector
-        self.delay_seconds = delay_seconds
-        self._sleep = sleep
         self.injected_failures = 0
-        self.injected_delays = 0
 
     def _gate(self, site: str) -> None:
-        """Fault check, then the optional deterministic stall."""
+        """Raise (and count) the injected fault when ``site`` fires."""
         if self.injector is None:
             return
         try:
@@ -247,9 +232,6 @@ class UnreliableUser:
         except InjectedFault:
             self.injected_failures += 1
             raise
-        if self.delay_seconds > 0.0 and self.injector.fires(site + "#delay"):
-            self.injected_delays += 1
-            self._sleep(self.delay_seconds)
 
     def label(self, node: Node) -> bool:
         """The inner oracle's label, behind the ``oracle.label`` fault gate."""
@@ -274,10 +256,9 @@ class UnreliableUser:
         return None
 
     def statistics(self) -> dict:
-        """Inner counters plus the injected failure/delay counts."""
+        """Inner counters plus the injected failure count."""
         stats = dict(self.inner.statistics())
         stats["injected_failures"] = self.injected_failures
-        stats["injected_delays"] = self.injected_delays
         return stats
 
     def __getattr__(self, name: str):

@@ -25,7 +25,6 @@ adapter), so the same loop serves both experiments and the console demo.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -43,7 +42,6 @@ from repro.learning.examples import ExampleSet, Word
 from repro.learning.learner import DEFAULT_MAX_PATH_LENGTH, PathQueryLearner
 from repro.learning.path_selection import candidate_prefix_tree
 from repro.learning.propagation import propagate_to_fixpoint
-from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 
 #: Initial neighbourhood radius shown to the user (Figure 3(a)).
@@ -119,16 +117,10 @@ class InteractiveSession:
     before.
 
     Per-session state is only the :class:`ExampleSet`, the current
-    hypothesis and the interaction records.
-
-    Migration note: ``engine=`` is deprecated.  Where you previously
-    isolated a session with ``InteractiveSession(graph, user,
-    engine=QueryEngine())``, pass
-    ``workspace=GraphWorkspace(engine=QueryEngine())`` instead — the
-    workspace isolates the language/neighbourhood indexes along with the
-    engine, which is almost always what isolation was meant to achieve.
-    ``engine=`` still works (wrapping itself in an ad-hoc workspace) but
-    emits a :class:`DeprecationWarning`.
+    hypothesis and the interaction records.  To isolate a session (its
+    engine together with its language and neighbourhood indexes), pass
+    ``workspace=GraphWorkspace()``; to use a particular engine, pass
+    ``workspace=GraphWorkspace(engine=...)``.
     """
 
     def __init__(
@@ -140,29 +132,13 @@ class InteractiveSession:
         halt_condition: Optional[HaltCondition] = None,
         path_validation: bool = True,
         max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
-        initial_radius: int = DEFAULT_INITIAL_RADIUS,
-        max_radius: int = DEFAULT_MAX_RADIUS,
         max_interactions: Optional[int] = None,
-        engine: Optional[QueryEngine] = None,
         workspace=None,
     ):
-        from repro.serving.workspace import GraphWorkspace, default_workspace
+        from repro.serving.workspace import default_workspace
 
         self.graph = graph
         self.user = user
-        if engine is not None:
-            warnings.warn(
-                "repro.interactive.session.InteractiveSession(engine=...) is "
-                "deprecated; pass workspace=GraphWorkspace(engine=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if workspace is None:
-                workspace = GraphWorkspace(engine=engine)
-            elif workspace.engine is not engine:
-                raise ValueError(
-                    "conflicting engine= and workspace= (the workspace owns its engine)"
-                )
         if workspace is None:
             workspace = default_workspace()
         #: the GraphWorkspace every shared component is drawn from
@@ -174,16 +150,10 @@ class InteractiveSession:
         #: zoom ladder, the eccentricity cap and the figure harness —
         #: one BFS per (version, center, directed) for the whole loop
         self.neighborhoods = workspace.neighborhoods(graph)
-        self.strategy = strategy or MostInformativePathsStrategy(
-            max_path_length=max_path_length,
-            engine=self.engine,
-            neighborhood_index=self.neighborhoods,
-        )
+        self.strategy = strategy or MostInformativePathsStrategy(max_path_length=max_path_length)
         self.halt_condition = halt_condition or default_halt_condition(max_interactions)
         self.path_validation = path_validation
         self.max_path_length = max_path_length
-        self.initial_radius = initial_radius
-        self.max_radius = max_radius
         self.examples = ExampleSet()
         #: incremental informativeness classifier shared by the session,
         #: the proposal strategy, propagation and the halt check — one
@@ -365,9 +335,9 @@ class InteractiveSession:
         """
         index = self.neighborhoods
         radius_cap = min(
-            self.max_radius, max(self.initial_radius, index.eccentricity_bound(node))
+            DEFAULT_MAX_RADIUS, max(DEFAULT_INITIAL_RADIUS, index.eccentricity_bound(node))
         )
-        radius = min(self.initial_radius, radius_cap)
+        radius = min(DEFAULT_INITIAL_RADIUS, radius_cap)
         neighborhood = index.neighborhood(node, radius)
         zooms = 0
         while radius < radius_cap and self.user.wants_zoom(node, neighborhood):

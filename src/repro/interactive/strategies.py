@@ -36,15 +36,12 @@ from typing import List, Optional
 
 from repro.exceptions import NoCandidateNodeError
 from repro.graph.labeled_graph import LabeledGraph, Node
-from repro.graph.neighborhood import NeighborhoodIndex
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import (
     SessionClassifier,
     classify_all,
     informative_nodes,
 )
-from repro.query.engine import QueryEngine
-from repro.serving.workspace import default_workspace
 
 
 class Strategy(ABC):
@@ -53,24 +50,8 @@ class Strategy(ABC):
     #: short identifier used in experiment tables
     name: str = "abstract"
 
-    def __init__(
-        self,
-        *,
-        max_path_length: int = 4,
-        engine: Optional[QueryEngine] = None,
-        neighborhood_index: Optional[NeighborhoodIndex] = None,
-    ):
+    def __init__(self, *, max_path_length: int = 4):
         self.max_path_length = max_path_length
-        #: query engine for strategies that rank candidates by answer
-        #: sets.  None of the built-in strategies evaluates queries (they
-        #: rank by informativeness, which is path enumeration), but the
-        #: session threads its engine here so subclasses that do evaluate
-        #: share the session's plan and answer caches.
-        self.engine = engine or default_workspace().engine
-        #: optional pre-resolved neighbourhood/zoom index; the session
-        #: threads its own here so strategies that rank by locality
-        #: reuse the BFS layers the zoom ladder already paid for
-        self._neighborhood_index = neighborhood_index
         #: the session's incremental classifier (threaded via
         #: :meth:`use_classifier`); informativeness lookups go through it
         #: so a workspace-backed session never touches module registries
@@ -109,17 +90,6 @@ class Strategy(ABC):
         """
         return None
 
-    def neighborhoods(self, graph: LabeledGraph) -> NeighborhoodIndex:
-        """The shared :class:`NeighborhoodIndex` of ``graph``.
-
-        Returns the index the session threaded in when it belongs to
-        ``graph``, and the process-wide shared index otherwise.
-        """
-        index = self._neighborhood_index
-        if index is not None and index.owns(graph):
-            return index
-        return default_workspace().neighborhoods(graph)
-
     @abstractmethod
     def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
         """Return the next node to show to the user.
@@ -141,19 +111,8 @@ class RandomStrategy(Strategy):
 
     name = "random"
 
-    def __init__(
-        self,
-        *,
-        seed: Optional[int] = None,
-        max_path_length: int = 4,
-        engine: Optional[QueryEngine] = None,
-        neighborhood_index: Optional[NeighborhoodIndex] = None,
-    ):
-        super().__init__(
-            max_path_length=max_path_length,
-            engine=engine,
-            neighborhood_index=neighborhood_index,
-        )
+    def __init__(self, *, seed: Optional[int] = None, max_path_length: int = 4):
+        super().__init__(max_path_length=max_path_length)
         self.seed = seed
         self._rng = random.Random(seed)
 
@@ -174,19 +133,8 @@ class RandomInformativeStrategy(Strategy):
 
     name = "random-informative"
 
-    def __init__(
-        self,
-        *,
-        seed: Optional[int] = None,
-        max_path_length: int = 4,
-        engine: Optional[QueryEngine] = None,
-        neighborhood_index: Optional[NeighborhoodIndex] = None,
-    ):
-        super().__init__(
-            max_path_length=max_path_length,
-            engine=engine,
-            neighborhood_index=neighborhood_index,
-        )
+    def __init__(self, *, seed: Optional[int] = None, max_path_length: int = 4):
+        super().__init__(max_path_length=max_path_length)
         self.seed = seed
         self._rng = random.Random(seed)
 
@@ -283,16 +231,12 @@ STRATEGY_REGISTRY = {
 
 
 def make_strategy(
-    name: str,
-    *,
-    seed: Optional[int] = None,
-    max_path_length: int = 4,
-    engine: Optional[QueryEngine] = None,
+    name: str, *, seed: Optional[int] = None, max_path_length: int = 4
 ) -> Strategy:
     """Instantiate a strategy by registry name."""
     if name not in STRATEGY_REGISTRY:
         raise ValueError(f"unknown strategy {name!r}; known: {sorted(STRATEGY_REGISTRY)}")
     cls = STRATEGY_REGISTRY[name]
     if cls in (RandomStrategy, RandomInformativeStrategy):
-        return cls(seed=seed, max_path_length=max_path_length, engine=engine)
-    return cls(max_path_length=max_path_length, engine=engine)
+        return cls(seed=seed, max_path_length=max_path_length)
+    return cls(max_path_length=max_path_length)

@@ -64,7 +64,6 @@ class PathQueryLearner:
         max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
         generalize: bool = True,
         engine: Optional[QueryEngine] = None,
-        compatibility: str = "indexed",
         workspace=None,
     ):
         self.graph = graph
@@ -80,22 +79,11 @@ class PathQueryLearner:
 
             workspace = default_workspace()
         self.workspace = workspace
-        #: query engine used for consistency checks (and compatibility in
-        #: ``"engine"`` mode); an explicit ``engine`` wins over the
-        #: workspace's (ablation benchmarks isolate engines this way)
+        #: query engine used for the consistency check of every learned
+        #: query; an explicit ``engine`` wins over the workspace's
+        #: (benchmarks isolate the engine while sharing the workspace's
+        #: language index this way)
         self.engine = engine if engine is not None else workspace.engine
-        if compatibility not in ("indexed", "engine"):
-            raise ValueError(
-                f"unknown compatibility mode {compatibility!r}; expected 'indexed' or 'engine'"
-            )
-        #: how merge candidates are checked against the negative examples:
-        #: ``"indexed"`` (default) intersects each candidate DFA with the
-        #: precompiled negative word-id cover of the shared language index
-        #: (one graph product pass at most, shared by all negatives);
-        #: ``"engine"`` re-walks the graph per negative per candidate —
-        #: the pre-index behaviour, kept for ablations and benchmarks.
-        #: Both modes accept and reject exactly the same candidates.
-        self.compatibility = compatibility
 
     # ------------------------------------------------------------------
     # step (i): choose one uncovered word per positive node
@@ -132,23 +120,19 @@ class PathQueryLearner:
     # step (ii): PTA + state-merging generalisation
     # ------------------------------------------------------------------
     def _compatible(self, examples: ExampleSet):
-        """Compatibility predicate: the hypothesis must select no negative node."""
-        negatives = sorted(examples.negative_nodes, key=str)
-        if self.compatibility == "indexed":
-            oracle = CompatibilityOracle(
-                self.graph,
-                negatives,
-                max_length=self.max_path_length,
-                index=self.workspace.language_index(self.graph, self.max_path_length),
-            )
-            return oracle.compatible
-        graph = self.graph
-        selects = self.engine.selects
+        """Compatibility predicate: the hypothesis must select no negative node.
 
-        def check(candidate: DFA) -> bool:
-            return not any(selects(graph, candidate, node) for node in negatives)
-
-        return check
+        Each merge candidate is intersected with the precompiled negative
+        word-id cover of the shared language index (one graph product pass
+        at most, shared by all negatives).
+        """
+        oracle = CompatibilityOracle(
+            self.graph,
+            sorted(examples.negative_nodes, key=str),
+            max_length=self.max_path_length,
+            index=self.workspace.language_index(self.graph, self.max_path_length),
+        )
+        return oracle.compatible
 
     def learn(self, examples: ExampleSet) -> LearningOutcome:
         """Run both steps and return the learned query with diagnostics.

@@ -80,8 +80,6 @@ def session_dedup_key(
         halt_signature,
         session.path_validation,
         session.max_path_length,
-        session.initial_radius,
-        session.max_radius,
     )
 
 
@@ -115,9 +113,9 @@ class SessionManager:
             manager.admit(graph, user, max_interactions=30)
         results = manager.run_all()          # or: await manager.drive_all()
 
-    ``drive()`` is cooperative: between steps it awaits ``checkpoint()``
-    (by default ``asyncio.sleep(0)``), the seam where a deployment awaits
-    the human's answer or yields to other sessions on the event loop.
+    ``drive()`` is cooperative: between steps it awaits
+    ``asyncio.sleep(0)``, the seam where a deployment awaits the human's
+    answer or yields to other sessions on the event loop.
     """
 
     def __init__(
@@ -126,7 +124,6 @@ class SessionManager:
         *,
         dedup: bool = True,
         max_concurrent: Optional[int] = None,
-        checkpoint=None,
         supervision: Optional[SupervisionPolicy] = None,
         injector=None,
     ):
@@ -136,7 +133,6 @@ class SessionManager:
             raise ValueError("max_concurrent must be positive")
         self._max_concurrent = max_concurrent
         self._semaphore: Optional[asyncio.Semaphore] = None
-        self._checkpoint = checkpoint
         #: optional SupervisionPolicy; None = unsupervised (bit-identical
         #: to the pre-reliability driving path)
         self.supervision = supervision
@@ -270,12 +266,12 @@ class SessionManager:
         if self.supervision is not None:
             return await self._step_supervised(handle)
         session = handle.session
-        await self._yield_point()
+        await asyncio.sleep(0)
         while session.advance():
             handle.steps_driven += 1
             # the await seam: a deployment awaits the next oracle answer
             # here; simulated oracles answer synchronously inside step()
-            await self._yield_point()
+            await asyncio.sleep(0)
         result = session.finish()
         handle.result = result
         self._completed += 1
@@ -300,7 +296,7 @@ class SessionManager:
         breaker = policy.breaker()
         jitter = policy.jitter_rng(handle.session_id)
         fault_site = f"manager.step:{handle.session_id}"
-        await self._yield_point()
+        await asyncio.sleep(0)
         advancing = True
         while advancing:
             attempt = 0
@@ -339,7 +335,7 @@ class SessionManager:
                 break
             if advancing:
                 handle.steps_driven += 1
-                await self._yield_point()
+                await asyncio.sleep(0)
         result = session.finish()
         handle.result = result
         self._completed += 1
@@ -378,14 +374,6 @@ class SessionManager:
         self._completed += 1
         self._deduped += 1
         return result
-
-    async def _yield_point(self) -> None:
-        if self._checkpoint is not None:
-            value = self._checkpoint()
-            if asyncio.iscoroutine(value):
-                await value
-        else:
-            await asyncio.sleep(0)
 
     def _slots(self) -> Optional[asyncio.Semaphore]:
         if self._max_concurrent is None:

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import SessionFinishedError
 from repro.interactive.halt import UserSatisfied
 from repro.interactive.oracle import NoisyUser, SimulatedUser
-from repro.interactive.session import InteractiveSession
+from repro.interactive.session import DEFAULT_INITIAL_RADIUS, InteractiveSession
 from repro.interactive.strategies import RandomStrategy
 from repro.serving.workspace import default_workspace
 
@@ -111,7 +111,7 @@ class TestStepDetails:
             records.append(session.step())
         positive_records = [record for record in records if record.positive]
         assert any(record.validated_word for record in positive_records)
-        assert all(record.final_radius >= session.initial_radius for record in records)
+        assert all(record.final_radius >= DEFAULT_INITIAL_RADIUS for record in records)
         assert all(record.duration_seconds >= 0 for record in records)
 
     def test_propagation_counts_recorded(self, figure1_graph):
@@ -166,34 +166,6 @@ class TestNoisyAndEdgeCases:
 
 
 class TestWorkspaceInjection:
-    def test_engine_kwarg_is_deprecated_but_works(self, figure1_graph):
-        from repro.query.engine import QueryEngine
-
-        engine = QueryEngine()
-        user = SimulatedUser(figure1_graph, GOAL, engine=engine)
-        with pytest.warns(DeprecationWarning):
-            session = InteractiveSession(
-                figure1_graph, user, max_interactions=25, engine=engine
-            )
-        assert session.engine is engine
-        assert session.workspace.engine is engine
-        result = session.run()
-        assert result.learned_query is not None
-
-    def test_conflicting_engine_and_workspace_rejected(self, figure1_graph):
-        from repro.query.engine import QueryEngine
-        from repro.serving import GraphWorkspace
-
-        user = SimulatedUser(figure1_graph, GOAL)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                InteractiveSession(
-                    figure1_graph,
-                    user,
-                    engine=QueryEngine(),
-                    workspace=GraphWorkspace(),
-                )
-
     def test_explicit_workspace_is_the_injection_point(self, figure1_graph):
         from repro.serving import GraphWorkspace
 

@@ -47,38 +47,6 @@ class TestRegistry:
         assert isinstance(make_strategy("random-informative", seed=1), RandomInformativeStrategy)
 
 
-class TestNeighborhoodThreading:
-    def test_session_threads_its_index_into_the_default_strategy(self, figure1_graph):
-        from repro.interactive.oracle import SimulatedUser
-        from repro.interactive.session import InteractiveSession
-
-        session = InteractiveSession(
-            figure1_graph, SimulatedUser(figure1_graph, "(tram + bus)* . cinema")
-        )
-        assert session.strategy.neighborhoods(figure1_graph) is session.neighborhoods
-
-    def test_accessor_falls_back_to_shared_index_for_other_graphs(self, figure1_graph):
-        from repro.graph.neighborhood import NeighborhoodIndex
-        from repro.serving.workspace import default_workspace
-
-        other = figure1_graph.copy()
-        strategy = MostInformativePathsStrategy(
-            neighborhood_index=NeighborhoodIndex(figure1_graph)
-        )
-        assert strategy.neighborhoods(other) is default_workspace().neighborhoods(other)
-
-    def test_accessor_survives_a_collected_graph(self, figure1_graph):
-        from repro.graph.neighborhood import NeighborhoodIndex
-        from repro.serving.workspace import default_workspace
-
-        dead = figure1_graph.copy()
-        strategy = MostInformativePathsStrategy(neighborhood_index=NeighborhoodIndex(dead))
-        del dead
-        assert strategy.neighborhoods(figure1_graph) is default_workspace().neighborhoods(
-            figure1_graph
-        )
-
-
 class TestProposals:
     def test_random_never_proposes_labeled_nodes(self, figure1_graph):
         strategy = RandomStrategy(seed=3)

@@ -319,6 +319,20 @@ class TestOptionalAwareScore:
 # ----------------------------------------------------------------------
 # merge-aware compatibility
 # ----------------------------------------------------------------------
+class _EngineCompatibilityLearner(PathQueryLearner):
+    """Reference learner: re-walks the graph per negative per merge candidate."""
+
+    def _compatible(self, examples):
+        graph = self.graph
+        selects = self.engine.selects
+        negatives = sorted(examples.negative_nodes, key=str)
+
+        def check(candidate):
+            return not any(selects(graph, candidate, node) for node in negatives)
+
+        return check
+
+
 class TestCompatibilityOracle:
     def test_no_negatives_everything_compatible(self, figure1_graph):
         from repro.automata.prefix_tree import build_pta
@@ -378,11 +392,9 @@ class TestCompatibilityOracle:
                     examples.add_negative(node)
                 else:
                     examples.add_positive(node)
-            indexed = PathQueryLearner(
-                graph, max_path_length=4, compatibility="indexed", engine=QueryEngine()
-            )
-            via_engine = PathQueryLearner(
-                graph, max_path_length=4, compatibility="engine", engine=QueryEngine()
+            indexed = PathQueryLearner(graph, max_path_length=4, engine=QueryEngine())
+            via_engine = _EngineCompatibilityLearner(
+                graph, max_path_length=4, engine=QueryEngine()
             )
             try:
                 learned_indexed = indexed.learn(examples)
@@ -393,10 +405,6 @@ class TestCompatibilityOracle:
             learned_engine = via_engine.learn(examples)
             assert str(learned_indexed.query) == str(learned_engine.query)
             assert learned_indexed.dfa.states == learned_engine.dfa.states
-
-    def test_unknown_compatibility_mode_rejected(self, figure1_graph):
-        with pytest.raises(ValueError):
-            PathQueryLearner(figure1_graph, compatibility="psychic")
 
 
 class TestIndexIsASnapshot:

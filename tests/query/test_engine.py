@@ -374,15 +374,16 @@ class TestSharedEngineWiring:
         from repro.graph.datasets import motivating_example
         from repro.interactive.oracle import SimulatedUser
         from repro.interactive.session import InteractiveSession
+        from repro.serving.workspace import GraphWorkspace
 
         engine = QueryEngine()
         graph = motivating_example()
-        user = SimulatedUser(graph, "(tram + bus)* . cinema", engine=engine)
-        with pytest.warns(DeprecationWarning, match="repro.interactive.session"):
-            session = InteractiveSession(graph, user, engine=engine)
+        workspace = GraphWorkspace(engine=engine)
+        user = SimulatedUser(graph, "(tram + bus)* . cinema", workspace=workspace)
+        session = InteractiveSession(graph, user, workspace=workspace)
         result = session.run()
+        assert session.engine is engine
         assert session.learner.engine is engine
-        assert session.strategy.engine is engine
         assert engine.stats()["answer_hits"] > 0
         assert engine.evaluate(graph, result.learned_query) == user.goal_answer
 

@@ -184,6 +184,28 @@ class TestQuarantine:
         assert sum(result.deduped for result in results.values()) == 1
 
 
+class TestStepDeadline:
+    def test_deadline_overruns_trip_the_breaker(self):
+        # a zero budget makes every completed step an overrun; overruns are
+        # charged to the breaker rather than retried, so the session is
+        # quarantined after exactly breaker_consecutive_limit interactions
+        graph = motivating_example()
+        manager = SessionManager(
+            GraphWorkspace(),
+            dedup=True,
+            supervision=SupervisionPolicy(
+                step_deadline_seconds=0.0, breaker_consecutive_limit=2
+            ),
+        )
+        manager.admit(graph, SimulatedUser(graph, GOAL))
+        result = list(manager.run_all().values())[0]
+        assert result.quarantined
+        assert result.interactions == 2
+        assert manager.stats()["deadline_overruns"] == 2
+        # a quarantined partial trace is never memoised
+        assert manager.workspace.stats()["memo_entries"] == 0
+
+
 class TestSupervisionInvisibleWithoutFaults:
     def test_supervised_no_fault_trace_is_bit_identical(self):
         graph = motivating_example()

@@ -1,5 +1,11 @@
 """Tests for the top-level public API surface."""
 
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
 import repro
 from repro import (
     ExampleSet,
@@ -12,6 +18,10 @@ from repro import (
     SimulatedUser,
     learn_query,
 )
+from repro.interactive.oracle import UnreliableUser
+from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: The supported surface, pinned: additions and removals must be deliberate.
 EXPECTED_EXPORTS = {
@@ -36,11 +46,62 @@ EXPECTED_EXPORTS = {
     "__version__",
 }
 
+#: The settable options of the interactive loop, pinned: every option
+#: multiplies the configurations tests must cover, so adding one must be
+#: as deliberate as adding an export.
+EXPECTED_PARAMETERS = [
+    (
+        InteractiveSession,
+        {
+            "graph",
+            "user",
+            "strategy",
+            "halt_condition",
+            "path_validation",
+            "max_path_length",
+            "max_interactions",
+            "workspace",
+        },
+    ),
+    (STRATEGY_REGISTRY["random"], {"seed", "max_path_length"}),
+    (STRATEGY_REGISTRY["random-informative"], {"seed", "max_path_length"}),
+    (STRATEGY_REGISTRY["breadth"], {"max_path_length"}),
+    (STRATEGY_REGISTRY["most-informative"], {"max_path_length"}),
+    (STRATEGY_REGISTRY["degree"], {"max_path_length"}),
+    (make_strategy, {"name", "seed", "max_path_length"}),
+    (PathQueryLearner, {"graph", "max_path_length", "generalize", "engine", "workspace"}),
+    (SessionManager, {"workspace", "dedup", "max_concurrent", "supervision", "injector"}),
+    (UnreliableUser, {"inner", "injector"}),
+]
+
+
+def toml_table(text, name):
+    """The stripped lines of the ``[name]`` table of a TOML document."""
+    lines = []
+    inside = False
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("["):
+            inside = stripped == f"[{name}]"
+        elif inside and stripped:
+            lines.append(stripped)
+    return lines
+
 
 class TestTopLevelExports:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
+
+    def test_version_has_one_source(self):
+        text = PYPROJECT.read_text(encoding="utf-8")
+        project = toml_table(text, "project")
+        assert not any(re.match(r"version\s*=", line) for line in project), (
+            "pyproject.toml declares a static version; repro.__version__ is the only source"
+        )
+        assert 'dynamic = ["version"]' in project
+        dynamic = toml_table(text, "tool.setuptools.dynamic")
+        assert 'version = {attr = "repro.__version__"}' in dynamic
 
     def test_all_is_exactly_the_supported_surface(self):
         assert set(repro.__all__) == EXPECTED_EXPORTS
@@ -117,3 +178,17 @@ class TestSubpackageImports:
         for module in modules:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize(
+        "target, expected",
+        EXPECTED_PARAMETERS,
+        ids=[target.__name__ for target, _ in EXPECTED_PARAMETERS],
+    )
+    def test_parameters_are_pinned(self, target, expected):
+        assert set(inspect.signature(target).parameters) == expected
+
+    def test_every_registered_strategy_is_pinned(self):
+        pinned = {target for target, _ in EXPECTED_PARAMETERS}
+        assert set(STRATEGY_REGISTRY.values()) <= pinned
