@@ -7,11 +7,9 @@ interactive, informativeness-driven strategies need far fewer interactions
 than static / random labelling.
 """
 
-
-from repro.experiments.harness import run_e1_interactions_by_strategy
+from repro.experiments.runner import ExperimentRunner
 from repro.graph.datasets import motivating_example
 from repro.interactive.scenarios import run_interactive_with_validation, run_static_labeling
-from repro.workloads.generator import quick_suite
 
 from conftest import write_artifact
 
@@ -20,12 +18,9 @@ GOAL = "(tram + bus)* . cinema"
 
 def test_e1_full_table(benchmark, results_dir):
     """Regenerate the complete E1 table on the quick suite (one pass)."""
-    cases = quick_suite(seed=17)
-
-    tables = benchmark.pedantic(
-        run_e1_interactions_by_strategy, args=(cases,), kwargs={"seed": 17}, rounds=1, iterations=1
-    )
-    detail, summary = tables["detail"], tables["summary"]
+    runner = ExperimentRunner(experiments=("e1",), seed=17)
+    tables = benchmark.pedantic(runner.run, rounds=1, iterations=1).tables
+    detail, summary = tables["e1_detail"], tables["e1_summary"]
     write_artifact(results_dir, "e1_detail.txt", detail.render())
     write_artifact(results_dir, "e1_summary.txt", summary.render())
 

@@ -6,23 +6,20 @@ fraction grows as negatives accumulate, so the strategy's candidate pool
 shrinks much faster than one node per question.
 """
 
-from repro.experiments.harness import run_e2_pruning
+from repro.experiments.runner import ExperimentRunner
 from repro.graph.datasets import motivating_example
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import pruning_fraction
-from repro.workloads.generator import quick_suite
 
 from conftest import write_artifact
 
 
 def test_e2_full_table(benchmark, results_dir):
-    cases = quick_suite(seed=19)
-    tables = benchmark.pedantic(
-        run_e2_pruning, args=(cases,), kwargs={"seed": 19}, rounds=1, iterations=1
-    )
-    write_artifact(results_dir, "e2_detail.txt", tables["detail"].render())
-    write_artifact(results_dir, "e2_summary.txt", tables["summary"].render())
-    for row in tables["detail"]:
+    runner = ExperimentRunner(experiments=("e2",), seed=19)
+    tables = benchmark.pedantic(runner.run, rounds=1, iterations=1).tables
+    write_artifact(results_dir, "e2_detail.txt", tables["e2_detail"].render())
+    write_artifact(results_dir, "e2_summary.txt", tables["e2_summary"].render())
+    for row in tables["e2_detail"]:
         assert 0.0 <= row["saved_fraction"] <= 1.0
 
 

@@ -10,7 +10,7 @@ nodes — 8x beyond the seed table, where per-edge generator loops and
 per-zoom BFS re-runs used to dominate the wall clock.
 """
 
-from repro.experiments.harness import run_e3_scalability
+from repro.experiments.runner import ExperimentRunner
 from repro.graph.generators import random_graph
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
@@ -22,12 +22,8 @@ E3_NODE_COUNTS = (100, 200, 400, 800, 1600, 3200, 6400)
 
 
 def test_e3_full_table(benchmark, results_dir):
-    table = benchmark.pedantic(
-        run_e3_scalability,
-        kwargs={"node_counts": E3_NODE_COUNTS, "interactions": 4},
-        rounds=1,
-        iterations=1,
-    )
+    runner = ExperimentRunner(experiments=("e3",), seed=23, e3_node_counts=E3_NODE_COUNTS)
+    table = benchmark.pedantic(runner.run, rounds=1, iterations=1).tables["e3"]
     write_artifact(results_dir, "e3.txt", table.render())
     rows = list(table)
     assert [row["nodes"] for row in rows] == list(E3_NODE_COUNTS)

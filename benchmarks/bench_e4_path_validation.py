@@ -8,22 +8,19 @@ variant recovers the exact goal at least as often and never has lower
 instance F1.
 """
 
-from repro.experiments.harness import run_e4_path_validation
+from repro.experiments.runner import ExperimentRunner
 from repro.graph.datasets import motivating_example
 from repro.learning.learner import learn_query
-from repro.workloads.generator import quick_suite
 
 from conftest import write_artifact
 
 
 def test_e4_full_table(benchmark, results_dir):
-    cases = quick_suite(seed=29)
-    tables = benchmark.pedantic(
-        run_e4_path_validation, args=(cases,), kwargs={"seed": 29}, rounds=1, iterations=1
-    )
-    write_artifact(results_dir, "e4_detail.txt", tables["detail"].render())
-    write_artifact(results_dir, "e4_summary.txt", tables["summary"].render())
-    by_variant = {row["variant"]: row for row in tables["summary"]}
+    runner = ExperimentRunner(experiments=("e4",), seed=29)
+    tables = benchmark.pedantic(runner.run, rounds=1, iterations=1).tables
+    write_artifact(results_dir, "e4_detail.txt", tables["e4_detail"].render())
+    write_artifact(results_dir, "e4_summary.txt", tables["e4_summary"].render())
+    by_variant = {row["variant"]: row for row in tables["e4_summary"]}
     # both variants end consistent with every label (F1 = 1 under the
     # user-satisfied halt); the benefit of validation shows up as fewer
     # interactions to get there.  Exact-language recovery fluctuates with

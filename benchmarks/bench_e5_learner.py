@@ -8,7 +8,7 @@ than the PTA.
 
 from repro.automata.prefix_tree import build_pta
 from repro.automata.state_merging import rpni
-from repro.experiments.harness import run_e5_learner_cost
+from repro.experiments.runner import ExperimentRunner
 from repro.graph.datasets import motivating_example
 from repro.learning.examples import ExampleSet
 from repro.learning.learner import PathQueryLearner
@@ -26,9 +26,8 @@ NEGATIVES = [(), ("bus",), ("tram",), ("bus", "tram"), ("cinema", "cinema"), ("r
 
 
 def test_e5_full_table(benchmark, results_dir):
-    table = benchmark.pedantic(
-        run_e5_learner_cost, kwargs={"sample_sizes": (5, 10, 20, 40, 80)}, rounds=1, iterations=1
-    )
+    runner = ExperimentRunner(experiments=("e5",), seed=31, e5_sample_sizes=(5, 10, 20, 40, 80))
+    table = benchmark.pedantic(runner.run, rounds=1, iterations=1).tables["e5"]
     write_artifact(results_dir, "e5.txt", table.render())
     rows = list(table)
     assert all(row["all_positives_accepted"] and row["all_negatives_rejected"] for row in rows)

@@ -6,10 +6,9 @@ Expected shape: interactive+validation needs the fewest interactions and
 always matches the user's intended answer on the instance.
 """
 
-from repro.experiments.harness import run_scenario_comparison
+from repro.experiments.runner import ExperimentRunner
 from repro.graph.datasets import motivating_example
 from repro.interactive.scenarios import run_all_scenarios
-from repro.workloads.generator import quick_suite
 
 from conftest import write_artifact
 
@@ -17,13 +16,11 @@ GOAL = "(tram + bus)* . cinema"
 
 
 def test_scenario_comparison_table(benchmark, results_dir):
-    cases = quick_suite(seed=37)
-    tables = benchmark.pedantic(
-        run_scenario_comparison, args=(cases,), kwargs={"seed": 37}, rounds=1, iterations=1
-    )
-    write_artifact(results_dir, "scenarios_detail.txt", tables["detail"].render())
-    write_artifact(results_dir, "scenarios_summary.txt", tables["summary"].render())
-    by_scenario = {row["scenario"]: row for row in tables["summary"]}
+    runner = ExperimentRunner(experiments=("scenarios",), seed=37)
+    tables = benchmark.pedantic(runner.run, rounds=1, iterations=1).tables
+    write_artifact(results_dir, "scenarios_detail.txt", tables["scenarios_detail"].render())
+    write_artifact(results_dir, "scenarios_summary.txt", tables["scenarios_summary"].render())
+    by_scenario = {row["scenario"]: row for row in tables["scenarios_summary"]}
     assert (
         by_scenario["interactive+validation"]["interactions"]
         <= by_scenario["static"]["interactions"]

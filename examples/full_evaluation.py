@@ -11,32 +11,32 @@ Run with::
     python examples/full_evaluation.py --full          # full suite (several minutes)
     python examples/full_evaluation.py --workers 4     # fan units out over 4 processes
     python examples/full_evaluation.py --save results  # also write tables to disk
+    python examples/full_evaluation.py --save --full   # --save alone writes to results/
 
 Parallel runs produce row-for-row identical tables (the experiment
 runner derives one deterministic seed per unit); for resumable runs with
 a JSONL result store use ``python -m repro.cli bench`` instead.
 """
 
-import sys
+import argparse
 from pathlib import Path
 
 from repro.experiments.figures import all_figures
-from repro.experiments.harness import run_everything
+from repro.experiments.runner import ExperimentRunner
 
 
 def main() -> None:
-    quick = "--full" not in sys.argv
-    workers = 1
-    if "--workers" in sys.argv:
-        index = sys.argv.index("--workers")
-        try:
-            workers = int(sys.argv[index + 1])
-        except (IndexError, ValueError):
-            sys.exit("usage: --workers N (a positive integer)")
+    parser = argparse.ArgumentParser(description="Regenerate every figure and experiment table.")
+    parser.add_argument("--full", action="store_true", help="run the standard suite instead of the quick one")
+    parser.add_argument("--workers", type=int, default=1, help="process-pool size (1 = inline)")
+    parser.add_argument(
+        "--save", nargs="?", const="results", default=None, metavar="DIR",
+        help="also write every table to DIR (default: results)",
+    )
+    args = parser.parse_args()
     save_dir = None
-    if "--save" in sys.argv:
-        index = sys.argv.index("--save")
-        save_dir = Path(sys.argv[index + 1]) if index + 1 < len(sys.argv) else Path("results")
+    if args.save is not None:
+        save_dir = Path(args.save)
         save_dir.mkdir(parents=True, exist_ok=True)
 
     print("=== Figures ===")
@@ -47,8 +47,9 @@ def main() -> None:
             (save_dir / f"{name}.txt").write_text(rendering + "\n")
 
     print()
-    print(f"=== Experiments ({'quick' if quick else 'full'} suite) ===")
-    tables = run_everything(quick=quick, workers=workers)
+    print(f"=== Experiments ({'full' if args.full else 'quick'} suite) ===")
+    runner = ExperimentRunner(suite="standard" if args.full else "quick", seed=41, workers=args.workers)
+    tables = runner.run().tables
     for name, table in tables.items():
         if name.endswith("_detail"):
             continue  # print summaries; details are archived with --save

@@ -14,21 +14,22 @@ Run with::
 
 import sys
 
-from repro.experiments.harness import run_e1_interactions_by_strategy
-from repro.workloads.generator import quick_suite, standard_suite
+from repro.experiments.runner import ExperimentRunner
 
 
 def main() -> None:
     full = "--full" in sys.argv
-    cases = standard_suite(per_family=1, seed=17) if full else quick_suite(seed=17)
-    print(f"running {len(cases)} (dataset, goal-query) cases "
+    runner = ExperimentRunner(
+        suite="standard" if full else "quick", experiments=("e1",), seed=17, per_family=1
+    )
+    print(f"running {len(runner.units)} (dataset, goal-query, strategy) units "
           f"({'full' if full else 'quick'} suite); this takes a moment...")
-    tables = run_e1_interactions_by_strategy(cases, seed=17)
+    tables = runner.run().tables
     print()
-    print(tables["summary"].render())
+    print(tables["e1_summary"].render())
     print()
     print("detail (one row per case and strategy):")
-    print(tables["detail"].render())
+    print(tables["e1_detail"].render())
 
 
 if __name__ == "__main__":

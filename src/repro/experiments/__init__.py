@@ -1,12 +1,9 @@
 """Experiment harness: figure regeneration and evaluation experiments E1–E5.
 
-Two execution paths share one set of per-unit row functions:
-
-* :mod:`repro.experiments.harness` — the serial ``run_e*`` functions the
-  benchmark scripts call directly;
-* :mod:`repro.experiments.runner` — the deterministic, parallel,
-  resumable :class:`~repro.experiments.runner.ExperimentRunner` behind
-  ``repro bench`` and :func:`~repro.experiments.harness.run_everything`.
+One driver runs every experiment: the deterministic, parallel, resumable
+:class:`~repro.experiments.runner.ExperimentRunner` behind ``repro
+bench``.  It expands a suite into content-hashed units and computes each
+unit with a row function from :mod:`repro.experiments.harness`.
 
 Runner results stream into a JSONL result store: a directory under
 ``benchmarks/results/<run>/`` holding ``manifest.json`` (the
@@ -27,19 +24,10 @@ from repro.experiments.figures import (
     figure2,
     figure3,
 )
-from repro.experiments.harness import (
-    E1_STRATEGIES,
-    SUMMARY_SPECS,
-    run_e1_interactions_by_strategy,
-    run_e2_pruning,
-    run_e3_scalability,
-    run_e4_path_validation,
-    run_e5_learner_cost,
-    run_everything,
-    run_scenario_comparison,
-)
 from repro.experiments.runner import (
+    E1_STRATEGIES,
     EXPERIMENTS,
+    SUMMARY_SPECS,
     ExperimentRunner,
     ResultStore,
     RunResult,
@@ -62,13 +50,6 @@ __all__ = [
     "figure3",
     "E1_STRATEGIES",
     "SUMMARY_SPECS",
-    "run_e1_interactions_by_strategy",
-    "run_e2_pruning",
-    "run_e3_scalability",
-    "run_e4_path_validation",
-    "run_e5_learner_cost",
-    "run_everything",
-    "run_scenario_comparison",
     "EXPERIMENTS",
     "ExperimentRunner",
     "ResultStore",

@@ -1,22 +1,26 @@
 """Deterministic, parallel, resumable experiment runner.
 
-The serial harness in :mod:`repro.experiments.harness` runs every
-experiment case inline in one process.  This module scales that up
+:class:`ExperimentRunner` is the one way an experiment runs: ``repro
+bench``, the ``bench_e*`` scripts and the examples all go through it.
+It drives the per-unit row functions of :mod:`repro.experiments.harness`
 without giving up reproducibility:
 
-* :func:`build_plan` expands a workload suite (E1–E5 plus the Section 3
-  scenario comparison) into a flat list of self-describing
-  :class:`RunUnit` objects.  A unit carries nothing but plain,
-  JSON-serialisable parameters (dataset *name*, goal *expression*,
-  strategy, budgets, derived seed), so its identity is a content hash of
-  those parameters — the same configuration always yields the same
-  ``unit_id``, across processes, machines and ``PYTHONHASHSEED`` values.
+* :func:`build_plan` expands a workload suite (E1–E5, the Section 3
+  scenario comparison and the opt-in churn family) into a flat list of
+  self-describing :class:`RunUnit` objects.  A unit carries nothing but
+  plain, JSON-serialisable parameters (dataset *name*, goal
+  *expression*, strategy, budgets, derived seed), so its identity is a
+  content hash of those parameters — the same configuration always
+  yields the same ``unit_id``, across processes, machines and
+  ``PYTHONHASHSEED`` values.  Every budget is written once, in the
+  ``*_DEFAULTS`` below.
 * :class:`ExperimentRunner` executes the units, either inline
   (``workers=1``) or fanned out over a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Every unit derives
-  its own deterministic seed from the base seed and its descriptor, so
-  execution order and process placement cannot change any row: a
-  4-worker run produces row-for-row identical results to a serial run.
+  its own deterministic seed from the base seed and its descriptor
+  (:func:`derive_unit_seed`), so execution order and process placement
+  cannot change any row: a 4-worker run produces row-for-row identical
+  results to a serial run.
 * A :class:`ResultStore` (directory with ``manifest.json`` +
   ``rows.jsonl``) streams finished units to disk as they complete.  An
   interrupted run resumes by loading the store and skipping every unit
@@ -24,10 +28,10 @@ without giving up reproducibility:
   write the interruption cut short) is ignored.  The manifest pins the
   plan id so a store can never silently mix rows from two different
   configurations.
-* Finished rows merge back into the same
-  :class:`~repro.experiments.metrics.ResultTable` detail/summary pairs
-  the serial harness produces (shared ``SUMMARY_SPECS``), which is what
-  ``run_everything`` and the benchmark scripts print.
+* Finished rows merge back into :class:`~repro.experiments.metrics.ResultTable`
+  detail/summary pairs (:attr:`RunResult.tables`, aggregated by
+  ``SUMMARY_SPECS``), which is what ``repro bench``, the benchmark
+  scripts and the examples print.
 
 Timing columns (``seconds``, ``mean_seconds``, ``max_seconds``) are the
 only values that legitimately differ between two runs of the same plan;
@@ -53,18 +57,21 @@ import hashlib
 import json
 import os
 import time
+import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from statistics import mean
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ExperimentError, RunPlanMismatchError, UnitExecutionError
 from repro.experiments import harness
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.policy import RetryPolicy
-from repro.experiments.metrics import ResultTable, Row
+from repro.experiments.metrics import ResultTable, Row, fraction_true
 from repro.graph.datasets import dataset_catalog, list_datasets
 from repro.graph.labeled_graph import LabeledGraph
+from repro.workloads.churn import CHURN_DEFAULTS as CHURN_STREAM_DEFAULTS
 from repro.workloads.generator import WorkloadCase, quick_suite, standard_suite
 
 PathLike = Union[str, Path]
@@ -82,16 +89,46 @@ TIMING_COLUMNS = frozenset(
     {"seconds", "mean_seconds", "max_seconds", "p50_seconds", "p95_seconds"}
 )
 
-#: Detail-table titles, shared with the serial harness tables.
-TABLE_TITLES: Dict[str, str] = harness.TABLE_TITLES
+#: Strategies compared in E1 (ordered from least to most informed).
+E1_STRATEGIES: Sequence[str] = ("random", "random-informative", "breadth", "degree", "most-informative")
 
-#: E3 graph sizes per suite (quick mirrors the old ``run_everything``).
+#: Per-experiment unit budgets: the plan passes every one of them to
+#: each unit, so this is the only place a budget is written.
+E1_DEFAULTS: Dict[str, int] = {"max_interactions": 60, "max_path_length": 4}
+E2_DEFAULTS: Dict[str, int] = {"max_interactions": 25, "max_path_length": 4}
+E3_DEFAULTS: Dict[str, int] = {"edge_factor": 3, "alphabet_size": 4, "max_path_length": 3, "interactions": 5}
+E4_DEFAULTS: Dict[str, int] = {"max_interactions": 40, "max_path_length": 4}
+E5_DEFAULTS: Dict[str, int] = {"word_length": 5, "alphabet_size": 3}
+SCENARIO_DEFAULTS: Dict[str, int] = {"max_interactions": 40, "max_path_length": 4}
+#: The stream geometry comes from the churn workload itself.
+CHURN_DEFAULTS: Dict[str, int] = dict(CHURN_STREAM_DEFAULTS, alphabet_size=4, max_path_length=3)
+
+#: Detail-table title per experiment.
+TABLE_TITLES: Dict[str, str] = {
+    "e1": "E1 — interactions to reach the goal answer",
+    "e2": "E2 — pruning / propagation of uninformative nodes per interaction",
+    "e3": "E3 — per-interaction latency vs graph size",
+    "e4": "E4 — path validation vs no validation",
+    "e5": "E5 — learner cost vs sample size",
+    "scenarios": "Demonstration scenarios — Section 3 comparison",
+    "churn": "Churn — warm-tick refresh under sliding-window edge streams",
+}
+
+#: Group-by keys and reducers of the experiments that have a summary table.
+SUMMARY_SPECS: Dict[str, Tuple[Sequence[str], Dict[str, Callable[[List[float]], float]]]] = {
+    "e1": (("strategy",), {"interactions": mean, "reached": fraction_true, "f1": mean}),
+    "e2": (("interaction",), {"saved_fraction": mean, "informative_remaining": mean, "propagated": mean}),
+    "e4": (("variant",), {"exact_goal": fraction_true, "f1": mean, "interactions": mean}),
+    "scenarios": (("scenario",), {"interactions": mean, "instance_f1": mean, "exact_goal": fraction_true}),
+}
+
+#: E3 graph sizes per suite.
 E3_NODE_COUNTS: Dict[str, Sequence[int]] = {
     "quick": (100, 200, 400),
     "standard": (100, 200, 400, 800, 1600),
 }
 
-#: E5 sample sizes (same for both suites, as in the serial harness).
+#: E5 sample sizes (same for both suites).
 E5_SAMPLE_SIZES: Sequence[int] = (5, 10, 20, 40)
 
 #: Churn graph sizes per suite (dataset-independent, like E3).
@@ -99,6 +136,16 @@ CHURN_NODE_COUNTS: Dict[str, Sequence[int]] = {
     "quick": (60, 120),
     "standard": (60, 120, 240),
 }
+
+
+def derive_unit_seed(base_seed: int, *parts: object) -> int:
+    """A deterministic, process-independent seed for one experiment unit.
+
+    Mixes ``base_seed`` with a CRC32 of the unit descriptor so every unit
+    gets an independent stream regardless of execution order or process.
+    """
+    descriptor = ":".join(str(part) for part in parts)
+    return (base_seed * 1_000_003 + zlib.crc32(descriptor.encode("utf-8"))) % (2**31)
 
 
 def canonical_json(payload: object) -> str:
@@ -162,103 +209,30 @@ def _graph_for(dataset: str, suite_seed: int) -> LabeledGraph:
     return catalog[dataset]
 
 
-def _execute_e1(params: Mapping[str, object]) -> List[Row]:
-    graph = _graph_for(params["dataset"], params["suite_seed"])
-    return harness.e1_unit_rows(
-        graph,
-        params["expression"],
-        dataset=params["dataset"],
-        family=params["family"],
-        strategy=params["strategy"],
-        max_interactions=params["max_interactions"],
-        max_path_length=params["max_path_length"],
-        seed=params["seed"],
-    )
-
-
-def _execute_e2(params: Mapping[str, object]) -> List[Row]:
-    graph = _graph_for(params["dataset"], params["suite_seed"])
-    return harness.e2_unit_rows(
-        graph,
-        params["expression"],
-        dataset=params["dataset"],
-        max_interactions=params["max_interactions"],
-        max_path_length=params["max_path_length"],
-    )
-
-
-def _execute_e3(params: Mapping[str, object]) -> List[Row]:
-    return [
-        harness.e3_unit_row(
-            params["nodes"],
-            edge_factor=params["edge_factor"],
-            alphabet_size=params["alphabet_size"],
-            max_path_length=params["max_path_length"],
-            interactions=params["interactions"],
-            seed=params["seed"],
-        )
-    ]
-
-
-def _execute_e4(params: Mapping[str, object]) -> List[Row]:
-    graph = _graph_for(params["dataset"], params["suite_seed"])
-    return harness.e4_unit_rows(
-        graph,
-        params["expression"],
-        dataset=params["dataset"],
-        family=params["family"],
-        variant=params["variant"],
-        max_interactions=params["max_interactions"],
-        max_path_length=params["max_path_length"],
-    )
-
-
-def _execute_e5(params: Mapping[str, object]) -> List[Row]:
-    return [
-        harness.e5_unit_row(
-            params["size"],
-            word_length=params["word_length"],
-            alphabet_size=params["alphabet_size"],
-            seed=params["seed"],
-        )
-    ]
-
-
-def _execute_scenarios(params: Mapping[str, object]) -> List[Row]:
-    graph = _graph_for(params["dataset"], params["suite_seed"])
-    return harness.scenario_unit_rows(
-        graph,
-        params["expression"],
-        dataset=params["dataset"],
-        max_interactions=params["max_interactions"],
-        max_path_length=params["max_path_length"],
-        seed=params["seed"],
-    )
-
-
-def _execute_churn(params: Mapping[str, object]) -> List[Row]:
-    return [
-        harness.churn_unit_row(
-            params["nodes"],
-            window=params["window"],
-            churn=params["churn"],
-            tick_count=params["tick_count"],
-            alphabet_size=params["alphabet_size"],
-            max_path_length=params["max_path_length"],
-            seed=params["seed"],
-        )
-    ]
-
-
-_EXECUTORS: Dict[str, Callable[[Mapping[str, object]], List[Row]]] = {
-    "e1": _execute_e1,
-    "e2": _execute_e2,
-    "e3": _execute_e3,
-    "e4": _execute_e4,
-    "e5": _execute_e5,
-    "scenarios": _execute_scenarios,
-    "churn": _execute_churn,
+#: The function that computes each experiment's unit rows.
+_UNIT_FUNCTIONS: Dict[str, Callable[..., List[Row]]] = {
+    "e1": harness.e1_unit_rows,
+    "e2": harness.e2_unit_rows,
+    "e3": harness.e3_unit_rows,
+    "e4": harness.e4_unit_rows,
+    "e5": harness.e5_unit_rows,
+    "scenarios": harness.scenario_unit_rows,
+    "churn": harness.churn_unit_rows,
 }
+
+
+def _unit_rows(experiment: str, params: Mapping[str, object]) -> List[Row]:
+    """The rows of one unit: its unit function called with its params.
+
+    A workload case travels as ``(suite_seed, dataset, expression)`` and
+    is resolved here to ``(graph, goal)``; every other param reaches the
+    unit function under its own key.
+    """
+    kwargs = dict(params)
+    if "expression" in kwargs:
+        kwargs["graph"] = _graph_for(kwargs["dataset"], kwargs.pop("suite_seed"))
+        kwargs["goal"] = kwargs.pop("expression")
+    return _UNIT_FUNCTIONS[experiment](**kwargs)
 
 
 def execute_payload(payload: Mapping[str, object]) -> dict:
@@ -275,7 +249,7 @@ def execute_payload(payload: Mapping[str, object]) -> dict:
     if fault_spec is not None:
         site = f"runner.unit:{payload['unit_id']}#a{payload.get('attempt', 1)}"
         FaultInjector(FaultPlan.from_dict(fault_spec)).check(site)
-    rows = _EXECUTORS[payload["experiment"]](payload["params"])
+    rows = _unit_rows(payload["experiment"], payload["params"])
     return {
         "unit_id": payload["unit_id"],
         "experiment": payload["experiment"],
@@ -295,7 +269,7 @@ def build_plan(
     datasets: Optional[Sequence[str]] = None,
     seed: int = 11,
     per_family: int = 2,
-    e1_strategies: Sequence[str] = harness.E1_STRATEGIES,
+    e1_strategies: Sequence[str] = E1_STRATEGIES,
     e3_node_counts: Optional[Sequence[int]] = None,
     e5_sample_sizes: Sequence[int] = E5_SAMPLE_SIZES,
     churn_node_counts: Optional[Sequence[int]] = None,
@@ -353,8 +327,8 @@ def build_plan(
                         case_params(case),
                         family=case.goal.family,
                         strategy=strategy,
-                        **harness.E1_DEFAULTS,
-                        seed=harness.derive_unit_seed(
+                        **E1_DEFAULTS,
+                        seed=derive_unit_seed(
                             seed, "e1", case.dataset, case.goal.expression, strategy
                         ),
                     )
@@ -363,15 +337,15 @@ def build_plan(
                     )
         elif experiment == "e2":
             for case in cases:
-                params = dict(case_params(case), **harness.E2_DEFAULTS)
+                params = dict(case_params(case), **E2_DEFAULTS)
                 units.append(RunUnit("e2", f"e2 {case.dataset} {case.goal.expression}", params))
         elif experiment == "e3":
             node_counts = e3_node_counts if e3_node_counts is not None else E3_NODE_COUNTS[suite]
             for node_count in node_counts:
                 params = dict(
                     nodes=node_count,
-                    **harness.E3_DEFAULTS,
-                    seed=harness.derive_unit_seed(seed, "e3", node_count),
+                    **E3_DEFAULTS,
+                    seed=derive_unit_seed(seed, "e3", node_count),
                 )
                 units.append(RunUnit("e3", f"e3 random-{node_count}", params))
         elif experiment == "e4":
@@ -381,7 +355,7 @@ def build_plan(
                         case_params(case),
                         family=case.goal.family,
                         variant=variant,
-                        **harness.E4_DEFAULTS,
+                        **E4_DEFAULTS,
                     )
                     units.append(
                         RunUnit("e4", f"e4 {case.dataset} [{variant}] {case.goal.expression}", params)
@@ -390,16 +364,16 @@ def build_plan(
             for size in e5_sample_sizes:
                 params = dict(
                     size=size,
-                    **harness.E5_DEFAULTS,
-                    seed=harness.derive_unit_seed(seed, "e5", size),
+                    **E5_DEFAULTS,
+                    seed=derive_unit_seed(seed, "e5", size),
                 )
                 units.append(RunUnit("e5", f"e5 samples={size}", params))
         elif experiment == "scenarios":
             for case in cases:
                 params = dict(
                     case_params(case),
-                    **harness.SCENARIO_DEFAULTS,
-                    seed=harness.derive_unit_seed(seed, "scenarios", case.dataset, case.goal.expression),
+                    **SCENARIO_DEFAULTS,
+                    seed=derive_unit_seed(seed, "scenarios", case.dataset, case.goal.expression),
                 )
                 units.append(RunUnit("scenarios", f"scenarios {case.dataset} {case.goal.expression}", params))
         elif experiment == "churn":
@@ -409,8 +383,8 @@ def build_plan(
             for node_count in node_counts:
                 params = dict(
                     nodes=node_count,
-                    **harness.CHURN_DEFAULTS,
-                    seed=harness.derive_unit_seed(seed, "churn", node_count),
+                    **CHURN_DEFAULTS,
+                    seed=derive_unit_seed(seed, "churn", node_count),
                 )
                 units.append(RunUnit("churn", f"churn sliding-{node_count}", params))
     return units
@@ -533,10 +507,11 @@ class RunResult:
     def tables(self) -> Dict[str, ResultTable]:
         """Merged detail (and, where defined, summary) tables by name.
 
-        Keys match :func:`repro.experiments.harness.run_everything`:
-        ``e1_detail``/``e1_summary``, ``e2_detail``/``e2_summary``,
-        ``e3``, ``e4_detail``/``e4_summary``, ``e5``,
-        ``scenarios_detail``/``scenarios_summary``, ``churn``.
+        An experiment with a ``SUMMARY_SPECS`` entry yields
+        ``<experiment>_detail`` and ``<experiment>_summary``
+        (``e1``, ``e2``, ``e4``, ``scenarios``); the others yield one
+        table named after the experiment (``e3``, ``e5``, ``churn``).
+        Only experiments in the plan appear.
         """
         present = []
         for experiment in EXPERIMENTS:
@@ -545,8 +520,8 @@ class RunResult:
         tables: Dict[str, ResultTable] = {}
         for experiment in present:
             detail = ResultTable(TABLE_TITLES[experiment], self.rows(experiment))
-            if experiment in harness.SUMMARY_SPECS:
-                keys, reducers = harness.SUMMARY_SPECS[experiment]
+            if experiment in SUMMARY_SPECS:
+                keys, reducers = SUMMARY_SPECS[experiment]
                 tables[f"{experiment}_detail"] = detail
                 tables[f"{experiment}_summary"] = detail.group_by(keys, reducers)
             else:
@@ -575,7 +550,7 @@ class ExperimentRunner:
         datasets: Optional[Sequence[str]] = None,
         seed: int = 11,
         per_family: int = 2,
-        e1_strategies: Sequence[str] = harness.E1_STRATEGIES,
+        e1_strategies: Sequence[str] = E1_STRATEGIES,
         e3_node_counts: Optional[Sequence[int]] = None,
         e5_sample_sizes: Sequence[int] = E5_SAMPLE_SIZES,
         churn_node_counts: Optional[Sequence[int]] = None,

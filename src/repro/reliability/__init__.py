@@ -8,9 +8,10 @@ This package makes failure a first-class, *deterministic* input:
   :class:`FaultInjector` pair that decides, per named *site*
   (``"oracle.label"``, ``"workspace.language_index"``, ``"runner.unit"``,
   …), whether each successive call fails.  Per-site sub-seeds are
-  CRC32-derived exactly like :func:`repro.experiments.seeding` unit
-  seeds, so the fault schedule is a pure function of ``(seed, site)``
-  and replays bit-identically across processes.
+  CRC32-derived exactly like the unit seeds of
+  :func:`repro.experiments.runner.derive_unit_seed`, so the fault
+  schedule is a pure function of ``(seed, site)`` and replays
+  bit-identically across processes.
 * :mod:`repro.reliability.policy` — bounded :class:`RetryPolicy` with
   exponential backoff and seeded jitter, and a ``time.monotonic``-based
   :class:`Deadline`.

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import ExperimentError, RunPlanMismatchError
 from repro.experiments.runner import (
+    EXPERIMENTS,
     ExperimentRunner,
     ResultStore,
     build_plan,
@@ -48,6 +49,21 @@ class TestPlan:
         first = {unit.unit_id for unit in build_plan(**PLAN_KWARGS)}
         second = {unit.unit_id for unit in build_plan(**dict(PLAN_KWARGS, seed=12))}
         assert first.isdisjoint(second)
+
+    @pytest.mark.parametrize(
+        "plan_kwargs, plan_id, unit_count",
+        [
+            ({}, "39d961a4c796", 67),
+            ({"experiments": EXPERIMENTS}, "5d558278cdc4", 69),
+            ({"suite": "standard"}, "ba693b131493", 989),
+        ],
+        ids=["default", "all-experiments", "standard"],
+    )
+    def test_plan_ids_are_pinned(self, plan_kwargs, plan_id, unit_count):
+        # resumable stores are keyed on these ids: a renamed param key or a
+        # moved budget would orphan every store, so the literals are pinned
+        units = build_plan(**plan_kwargs)
+        assert (plan_id_for(units), len(units)) == (plan_id, unit_count)
 
     def test_units_are_json_serialisable(self):
         for unit in build_plan(**PLAN_KWARGS):
@@ -198,25 +214,3 @@ class TestResume:
             make_runner(store=ResultStore(tmp_path / "run")).run()
         result = make_runner(store=ResultStore(tmp_path / "run")).run(fresh=True)
         assert len(result.executed_unit_ids) == len(result.units)
-
-
-class TestSerialHarnessAlignment:
-    """Serial ``run_e*`` and the parallel runner derive identical seeds."""
-
-    def test_run_e1_rows_match_runner(self):
-        from repro.experiments.harness import run_e1_interactions_by_strategy
-        from repro.workloads.generator import quick_suite
-
-        cases = [case for case in quick_suite(11) if case.dataset == "figure-1"]
-        serial = run_e1_interactions_by_strategy(cases, strategies=("most-informative",), seed=11)
-        runner = ExperimentRunner(
-            suite="quick",
-            datasets=["figure-1"],
-            experiments=("e1",),
-            e1_strategies=("most-informative",),
-            seed=11,
-        ).run()
-        # e1 rows now carry per-interaction latency percentile columns on
-        # both paths; those are wall-clock measurements, so both sides are
-        # stripped before the row-for-row comparison
-        assert strip_timing(list(serial["detail"])) == strip_timing(runner.rows("e1"))

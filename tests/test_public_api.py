@@ -18,6 +18,7 @@ from repro import (
     SimulatedUser,
     learn_query,
 )
+from repro.experiments import ExperimentRunner, build_plan
 from repro.interactive.oracle import UnreliableUser
 from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
 
@@ -46,9 +47,9 @@ EXPECTED_EXPORTS = {
     "__version__",
 }
 
-#: The settable options of the interactive loop, pinned: every option
-#: multiplies the configurations tests must cover, so adding one must be
-#: as deliberate as adding an export.
+#: The settable options of the interactive loop and of the experiment
+#: runner, pinned: every option multiplies the configurations tests must
+#: cover, so adding one must be as deliberate as adding an export.
 EXPECTED_PARAMETERS = [
     (
         InteractiveSession,
@@ -72,6 +73,38 @@ EXPECTED_PARAMETERS = [
     (PathQueryLearner, {"graph", "max_path_length", "generalize", "engine", "workspace"}),
     (SessionManager, {"workspace", "dedup", "max_concurrent", "supervision", "injector"}),
     (UnreliableUser, {"inner", "injector"}),
+    (
+        ExperimentRunner,
+        {
+            "suite",
+            "experiments",
+            "datasets",
+            "seed",
+            "per_family",
+            "e1_strategies",
+            "e3_node_counts",
+            "e5_sample_sizes",
+            "churn_node_counts",
+            "workers",
+            "store",
+            "retry_policy",
+            "fault_plan",
+        },
+    ),
+    (
+        build_plan,
+        {
+            "suite",
+            "experiments",
+            "datasets",
+            "seed",
+            "per_family",
+            "e1_strategies",
+            "e3_node_counts",
+            "e5_sample_sizes",
+            "churn_node_counts",
+        },
+    ),
 ]
 
 
