@@ -323,7 +323,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools import (
-        LintConfig,
         error_count,
         lint_paths,
         project_config,
@@ -331,9 +330,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         render_text,
     )
 
-    config = (
-        LintConfig.from_file(args.config) if args.config else project_config()
-    )
+    config = project_config()
     if args.select:
         config.select = tuple(
             code.strip() for item in args.select for code in item.split(",") if code.strip()
@@ -343,12 +340,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         str(path).rstrip("/").endswith("tests") for path in paths
     ):
         paths.append("tests")
-    diagnostics = lint_paths(
-        paths,
-        config=config,
-        semantic=not args.no_semantic,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
+    diagnostics = lint_paths(paths, config=config)
     report = render_json(diagnostics)
     if args.output:
         Path(args.output).write_text(report + "\n")
@@ -521,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these rule families; repeat or comma-separate (default: all)",
     )
     lint_parser.add_argument(
-        "--config", default=None,
-        help="JSON overlay merged over the project lint config",
-    )
-    lint_parser.add_argument(
         "--output", default=None,
         help="also write the JSON report to this file (the CI artifact)",
     )
@@ -532,19 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-tests", action="store_true",
         help="also lint tests/ (findings there are warn-only: reported, "
         "never exit-code-failing)",
-    )
-    lint_parser.add_argument(
-        "--no-semantic", action="store_true",
-        help="skip the interprocedural pass (REP110/REP310/REP70x)",
-    )
-    lint_parser.add_argument(
-        "--cache-dir", default=".repro-lint-cache",
-        help="content-hash cache for per-module semantic summaries "
-        "(default: .repro-lint-cache)",
-    )
-    lint_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the semantic summary cache for this run",
     )
     lint_parser.set_defaults(handler=_cmd_lint)
 

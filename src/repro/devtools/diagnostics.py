@@ -136,6 +136,8 @@ def scan_suppressions(
     """
     suppressions: List[Suppression] = []
     problems: List[Diagnostic] = []
+    if "repro-lint" not in source:
+        return suppressions, problems  # no pragma without its marker text
     lines = source.splitlines()
     for lineno, comment_col, text in _comment_tokens(source):
         pragma = _PRAGMA.search(text)
@@ -187,7 +189,6 @@ def apply_suppressions(
     suppressions: List[Suppression],
     path: str,
     *,
-    report_unused: bool = True,
     enabled: Optional[Callable[[str], bool]] = None,
 ) -> List[Diagnostic]:
     """Drop suppressed diagnostics; report pragmas that suppress nothing.
@@ -210,22 +211,21 @@ def apply_suppressions(
                 matched = True
         if not matched:
             kept.append(diagnostic)
-    if report_unused:
-        for suppression in suppressions:
-            if suppression.used:
-                continue
-            if enabled is not None and not any(
-                enabled(family_of(code)) for code in suppression.codes
-            ):
-                continue
-            kept.append(
-                Diagnostic(
-                    path,
-                    suppression.line,
-                    1,
-                    SUPPRESSION_UNUSED,
-                    f"suppression of {', '.join(suppression.codes)} matched "
-                    "no diagnostic; delete the stale pragma",
-                )
+    for suppression in suppressions:
+        if suppression.used:
+            continue
+        if enabled is not None and not any(
+            enabled(family_of(code)) for code in suppression.codes
+        ):
+            continue
+        kept.append(
+            Diagnostic(
+                path,
+                suppression.line,
+                1,
+                SUPPRESSION_UNUSED,
+                f"suppression of {', '.join(suppression.codes)} matched "
+                "no diagnostic; delete the stale pragma",
             )
+        )
     return kept

@@ -12,8 +12,8 @@ formats are family-agnostic.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Tuple
 
 from repro.devtools.config import LintConfig
 from repro.devtools.diagnostics import Diagnostic
@@ -26,18 +26,6 @@ class FileContext:
     path: str  # posix relpath used in diagnostics and allowlists
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    def segment(self, node: ast.AST) -> str:
-        """Best-effort source text of ``node`` (for symbols/messages)."""
-        try:
-            return ast.get_source_segment(self.source, node) or ""
-        except Exception:
-            return ""
 
 
 RuleFunc = Callable[[FileContext, LintConfig], Iterable[Diagnostic]]

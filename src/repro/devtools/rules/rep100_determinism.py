@@ -25,6 +25,9 @@ Sub-rules:
   comprehensions, ``list()``/``tuple()``/``join``); wrap in
   ``sorted(…)`` or restructure.
 
+REP101–103 classify calls with :func:`repro.devtools.entropy.entropy_source`,
+the same table REP110 follows into memo keys, fingerprints and rows.
+
 Heuristic by design: a set reaching a loop through an opaque variable is
 not flagged — the rule catches the direct patterns that have actually
 bitten this codebase, and the allowlist/suppressions document the rest.
@@ -33,38 +36,12 @@ bitten this codebase, and the allowlist/suppressions document the rest.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.devtools.config import LintConfig
 from repro.devtools.diagnostics import Diagnostic
+from repro.devtools.entropy import entropy_source, record_import
 from repro.devtools.registry import FileContext, rule
-
-#: module-level random functions whose call is REP101
-_RANDOM_FUNCS = frozenset(
-    {
-        "random",
-        "randrange",
-        "randint",
-        "choice",
-        "choices",
-        "shuffle",
-        "sample",
-        "uniform",
-        "triangular",
-        "gauss",
-        "normalvariate",
-        "lognormvariate",
-        "expovariate",
-        "betavariate",
-        "gammavariate",
-        "paretovariate",
-        "weibullvariate",
-        "vonmisesvariate",
-        "getrandbits",
-        "randbytes",
-        "seed",
-    }
-)
 
 #: order-insensitive consumers: iterating a set through these is sound
 _ORDER_FREE_CALLS = frozenset(
@@ -81,10 +58,9 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.ctx = ctx
         self.config = config
         self.diagnostics: List[Diagnostic] = []
-        #: names bound to the random module (``import random [as r]``)
-        self.random_modules: Set[str] = set()
-        #: local alias -> function imported via ``from random import f``
-        self.random_imports: Dict[str, str] = {}
+        #: import bindings seen so far (see :func:`record_import`)
+        self.modules: Dict[str, str] = {}
+        self.objects: Dict[str, Tuple[str, str]] = {}
         self._function_stack: List[str] = []
         #: per-scope map of names the checker knows to be sets
         self._set_scopes: List[Set[str]] = [set()]
@@ -92,18 +68,10 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._order_free_nodes: Set[int] = set()
 
     # -- bookkeeping ---------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "random":
-                self.random_modules.add(alias.asname or alias.name)
-        self.generic_visit(node)
+    def visit_Import(self, node: "ast.Import | ast.ImportFrom") -> None:
+        record_import(node, self.modules, self.objects)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            for alias in node.names:
-                if alias.name != "Random":
-                    self.random_imports[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
+    visit_ImportFrom = visit_Import
 
     def _visit_function(self, node: ast.AST, name: str) -> None:
         self._function_stack.append(name)
@@ -138,44 +106,38 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     argument, (ast.GeneratorExp, ast.ListComp, ast.SetComp)
                 ):
                     self._order_free_nodes.add(id(argument))
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            owner, attr = func.value.id, func.attr
-            if owner in self.random_modules:
-                if attr in _RANDOM_FUNCS:
-                    self._emit(
-                        node,
-                        "REP101",
-                        f"module-level random.{attr}() draws from hidden global "
-                        "state; use an explicit random.Random(seed)",
-                        symbol=f"random.{attr}",
-                    )
-                elif attr == "Random" and not node.args and not node.keywords:
-                    self._emit(
-                        node,
-                        "REP102",
-                        "unseeded random.Random() seeds from OS entropy; route "
-                        "through repro.determinism.entropy_seed()",
-                        symbol="random.Random",
-                    )
+        kind, name = entropy_source(node, self.modules, self.objects)
+        if kind == "random":
+            where = (
+                f"module-level {name}()"
+                if isinstance(func, ast.Attribute)
+                else f"{name}() imported at module level"
+            )
+            self._emit(
+                node,
+                "REP101",
+                f"{where} draws from hidden global state; use an explicit "
+                "random.Random(seed)",
+                symbol=name,
+            )
+        elif kind == "unseeded":
+            self._emit(
+                node,
+                "REP102",
+                "unseeded random.Random() seeds from OS entropy; route "
+                "through repro.determinism.entropy_seed()",
+                symbol=name,
+            )
+        elif kind == "hash" and "__hash__" not in self._function_stack:
+            self._emit(
+                node,
+                "REP103",
+                "builtin hash() outside __hash__ is PYTHONHASHSEED-salted "
+                "for strings; use a stable digest (zlib.crc32, hashlib)",
+                symbol=name,
+            )
         elif isinstance(func, ast.Name):
-            if func.id in self.random_imports:
-                self._emit(
-                    node,
-                    "REP101",
-                    f"random.{self.random_imports[func.id]}() imported at module "
-                    "level draws from hidden global state; use an explicit "
-                    "random.Random(seed)",
-                    symbol=f"random.{self.random_imports[func.id]}",
-                )
-            elif func.id == "hash" and "__hash__" not in self._function_stack:
-                self._emit(
-                    node,
-                    "REP103",
-                    "builtin hash() outside __hash__ is PYTHONHASHSEED-salted "
-                    "for strings; use a stable digest (zlib.crc32, hashlib)",
-                    symbol="hash",
-                )
-            elif func.id in {"list", "tuple"} and node.args:
+            if func.id in {"list", "tuple"} and node.args:
                 if self._is_setish(node.args[0]):
                     self._emit(
                         node,

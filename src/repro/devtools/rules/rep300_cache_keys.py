@@ -10,12 +10,10 @@ PRs 1/3/5 spent commits hunting: stale answers served after a mutation.
 Sub-rules:
 
 * ``REP301`` — a ``self.<attr>`` initialised to a dict-like container
-  whose name looks memo-ish (configurable pattern, default
-  ``cache|memo|plans|answers|entries``) where **no** store/lookup site
-  in the class mentions a version/fingerprint marker identifier
-  (configurable, default ``version``, ``fingerprint``, ``digest``,
-  ``signature``, ``plan_id``, ``crc``, ``sha``) in its key *or* stored
-  value expression.
+  whose name looks memo-ish (:data:`MEMO_NAME`) where **no**
+  store/lookup site in the class mentions a version/fingerprint marker
+  identifier (:data:`KEY_MARKERS`) in its key *or* stored value
+  expression.
 * ``REP302`` — a class that *snapshots* a version counter into an
   instance attribute (``self.<...version...> = <expr mentioning a
   version>``) is a version-keyed cache, and since the delta-journal PR
@@ -45,6 +43,13 @@ from typing import Dict, Iterator, List, Set
 from repro.devtools.config import LintConfig
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import FileContext, rule
+
+#: memo-like attribute names (REP301; REP110 reads the same pattern
+#: to find memo-key sinks)
+MEMO_NAME = re.compile(r"cache|memo|plans|answers|entries")
+
+#: identifier substrings that prove a version/fingerprint-aware key
+KEY_MARKERS = ("version", "fingerprint", "digest", "signature", "plan_id", "crc", "sha")
 
 _DICT_CONSTRUCTORS = {"dict", "OrderedDict", "defaultdict", "WeakKeyDictionary", "WeakValueDictionary"}
 
@@ -90,9 +95,7 @@ def _self_attr(node: ast.expr) -> str:
 class _ClassMemoAudit(ast.NodeVisitor):
     """Collect memo attributes and their key/value identifier sets."""
 
-    def __init__(self, memo_pattern: "re.Pattern[str]", markers: tuple):
-        self.memo_pattern = memo_pattern
-        self.markers = markers
+    def __init__(self) -> None:
         #: memo attr -> init node (first dict-ish assignment seen)
         self.found: Dict[str, ast.AST] = {}
         #: memo attr -> identifiers seen across every key/value expression
@@ -130,10 +133,10 @@ class _ClassMemoAudit(ast.NodeVisitor):
         for target in node.targets:
             attr = _self_attr(target)
             if attr:
-                if self.memo_pattern.search(attr) and _is_dictish(node.value):
+                if MEMO_NAME.search(attr) and _is_dictish(node.value):
                     self.found.setdefault(attr, node)
                 lowered = attr.lower()
-                if any(marker in lowered for marker in self.markers):
+                if any(marker in lowered for marker in KEY_MARKERS):
                     self.class_markers.add(attr)
             if isinstance(target, ast.Name) and self._locals:
                 self._locals[-1].setdefault(target.id, set()).update(
@@ -151,7 +154,7 @@ class _ClassMemoAudit(ast.NodeVisitor):
         if (
             attr
             and node.value is not None
-            and self.memo_pattern.search(attr)
+            and MEMO_NAME.search(attr)
             and _is_dictish(node.value)
         ):
             self.found.setdefault(attr, node)
@@ -233,8 +236,6 @@ def _version_snapshots(class_node: ast.ClassDef) -> Iterator[ast.stmt]:
 @rule("REP300", "cache-key discipline: memos must witness version/fingerprint")
 def check_cache_keys(ctx: FileContext, config: LintConfig) -> Iterator[Diagnostic]:
     """Flag memo attributes with no version/fingerprint evidence."""
-    memo_pattern = re.compile(config.memo_name_pattern)
-    markers = tuple(marker.lower() for marker in config.key_markers)
     diagnostics: List[Diagnostic] = []
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):
@@ -263,7 +264,7 @@ def check_cache_keys(ctx: FileContext, config: LintConfig) -> Iterator[Diagnosti
                         symbol=attr,
                     )
                 )
-        audit = _ClassMemoAudit(memo_pattern, markers)
+        audit = _ClassMemoAudit()
         audit.visit(node)
         for attr, init_node in sorted(audit.found.items()):
             if audit.class_markers:
@@ -272,7 +273,7 @@ def check_cache_keys(ctx: FileContext, config: LintConfig) -> Iterator[Diagnosti
             if any(
                 marker in identifier
                 for identifier in identifiers
-                for marker in markers
+                for marker in KEY_MARKERS
             ):
                 continue
             diagnostics.append(

@@ -1,12 +1,12 @@
 """File walking, rule dispatch and report rendering for ``repro lint``.
 
-Two passes share one walk:
+Two passes share one parse per file:
 
-* **syntactic**, per file: parse → scan suppression pragmas → run every
+* **syntactic**, per file: scan suppression pragmas → run every
   enabled rule family → drop allowlisted diagnostics;
-* **semantic**, per tree: extract (or cache-load) a module summary per
-  file, link them into a project model, run the interprocedural rules
-  (REP110/REP310/REP70x).
+* **semantic**, per tree: extract a module summary per file from the
+  same syntax tree, link them into a project model, run the
+  interprocedural rules (REP110/REP310/REP40x/REP70x).
 
 Suppressions are applied *after* both passes, per file, so one pragma
 accounting covers syntactic and semantic findings alike (a waiver that
@@ -34,47 +34,20 @@ from repro.devtools.diagnostics import (
 )
 from repro.devtools.registry import FileContext, registered_rules
 
+#: findings under these path prefixes are warnings: reported, never
+#: exit-code-failing (the ``--include-tests`` mode)
+WARN_ONLY_PREFIXES = ("tests/",)
+
 
 def lint_source(
     source: str, path: str = "<memory>", config: Optional[LintConfig] = None
 ) -> List[Diagnostic]:
     """Lint one source string as if it lived at ``path``.
 
-    The entry point the fixture tests drive; :func:`lint_paths` reduces
-    to this per file.
+    Both passes run, over a tree holding just this module — the entry
+    point the rule tests drive.
     """
-    if config is None:
-        config = project_config()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        return [
-            Diagnostic(
-                path,
-                error.lineno or 1,
-                (error.offset or 0) + 1,
-                PARSE_ERROR,
-                f"file does not parse: {error.msg}",
-            )
-        ]
-    ctx = FileContext(path=path, source=source, tree=tree)
-    suppressions, pragma_problems = scan_suppressions(source, path)
-    diagnostics: List[Diagnostic] = []
-    for info in registered_rules():
-        if not config.enabled(info.family):
-            continue
-        for diagnostic in info.check(ctx, config):
-            if not config.is_allowed(diagnostic):
-                diagnostics.append(diagnostic)
-    kept = apply_suppressions(
-        diagnostics,
-        suppressions,
-        path,
-        report_unused=config.report_unused_suppressions,
-        enabled=config.enabled,
-    )
-    kept.extend(pragma_problems)
-    return sorted(kept, key=Diagnostic.sort_key)
+    return _lint([(path, source)], config)
 
 
 def iter_python_files(paths: Sequence["Path | str"]) -> Iterator[Path]:
@@ -103,43 +76,41 @@ def lint_paths(
     paths: Sequence["Path | str"],
     config: Optional[LintConfig] = None,
     root: Optional["Path | str"] = None,
-    *,
-    semantic: bool = True,
-    cache_dir: Optional["Path | str"] = None,
 ) -> List[Diagnostic]:
     """Lint every Python file under ``paths`` (both passes).
 
     Diagnostics carry repo-root-relative posix paths (``root`` defaults
     to the working directory) so allowlist patterns written as
     ``src/repro/...`` match regardless of how the target was spelled.
-    ``semantic=False`` skips the interprocedural pass; ``cache_dir``
-    enables the content-hash summary cache (cold runs populate it,
-    warm runs skip extraction entirely).
     """
-    from repro.devtools.semantic import (
-        SummaryCache,
-        extract_module,
-        semantic_pass,
-    )
+    base = (Path(root) if root is not None else Path.cwd()).resolve()
+
+    def sources() -> Iterator[Tuple[str, str]]:
+        for file_path in iter_python_files(paths):
+            try:
+                relative = file_path.resolve().relative_to(base).as_posix()
+            except ValueError:
+                relative = file_path.as_posix()
+            yield relative, file_path.read_text()
+
+    return _lint(sources(), config)
+
+
+def _lint(
+    sources: Iterable[Tuple[str, str]], config: Optional[LintConfig]
+) -> List[Diagnostic]:
+    """Both passes over ``(relpath, source)`` pairs, suppressions applied."""
+    from repro.devtools.semantic import ModuleSummary, extract_module, semantic_pass
 
     if config is None:
         config = project_config()
-    base = (Path(root) if root is not None else Path.cwd()).resolve()
-    cache = SummaryCache(cache_dir) if (semantic and cache_dir) else None
-    knobs = config.extraction_knobs() if semantic else None
     per_file: Dict[str, Tuple[List[Suppression], List[Diagnostic], List[Diagnostic]]] = {}
-    summaries: Dict[str, "object"] = {}
-    for file_path in iter_python_files(paths):
-        try:
-            relative = file_path.resolve().relative_to(base).as_posix()
-        except ValueError:
-            relative = file_path.as_posix()
-        source = file_path.read_text()
+    summaries: Dict[str, ModuleSummary] = {}
+    for relative, source in sources:
         try:
             tree = ast.parse(source)
         except SyntaxError as error:
             per_file[relative] = (
-                [],
                 [],
                 [
                     Diagnostic(
@@ -150,6 +121,7 @@ def lint_paths(
                         f"file does not parse: {error.msg}",
                     )
                 ],
+                [],
             )
             continue
         ctx = FileContext(path=relative, source=source, tree=tree)
@@ -162,37 +134,25 @@ def lint_paths(
                 if not config.is_allowed(diagnostic):
                     diagnostics.append(diagnostic)
         per_file[relative] = (suppressions, pragma_problems, diagnostics)
-        if semantic and knobs is not None:
-            summary = cache.load(source, relative, knobs) if cache else None
-            if summary is None:
-                summary = extract_module(source, relative, knobs, tree=tree)
-                if cache is not None:
-                    cache.store(source, relative, knobs, summary)
-            summaries[relative] = summary
-    if summaries:
-        for diagnostic in semantic_pass(summaries, config):  # type: ignore[arg-type]
-            if diagnostic.path in per_file:
-                per_file[diagnostic.path][2].append(diagnostic)
+        summaries[relative] = extract_module(source, relative, tree=tree)
+    for diagnostic in semantic_pass(summaries, config):
+        if diagnostic.path in per_file:
+            per_file[diagnostic.path][2].append(diagnostic)
     results: List[Diagnostic] = []
     for relative in sorted(per_file):
         suppressions, pragma_problems, diagnostics = per_file[relative]
         kept = apply_suppressions(
-            diagnostics,
-            suppressions,
-            relative,
-            report_unused=config.report_unused_suppressions,
-            enabled=config.enabled,
+            diagnostics, suppressions, relative, enabled=config.enabled
         )
         kept.extend(pragma_problems)
         results.extend(kept)
-    results = [_apply_severity(diagnostic, config) for diagnostic in results]
-    return sorted(results, key=Diagnostic.sort_key)
+    return sorted(map(_apply_severity, results), key=Diagnostic.sort_key)
 
 
-def _apply_severity(diagnostic: Diagnostic, config: LintConfig) -> Diagnostic:
+def _apply_severity(diagnostic: Diagnostic) -> Diagnostic:
     """Downgrade findings under the warn-only path prefixes."""
-    if diagnostic.severity == "error" and any(
-        diagnostic.path.startswith(prefix) for prefix in config.warn_path_prefixes
+    if diagnostic.severity == "error" and diagnostic.path.startswith(
+        WARN_ONLY_PREFIXES
     ):
         return dataclasses.replace(diagnostic, severity="warning")
     return diagnostic
@@ -225,7 +185,7 @@ def render_json(diagnostics: Iterable[Diagnostic]) -> str:
 
     Byte-identical across runs over the same tree: every aggregate is
     rebuilt from the sorted diagnostic list and nothing run-dependent
-    (timings, absolute paths, cache hit rates) is included.
+    (timings, absolute paths) is included.
     """
     listed = list(diagnostics)
     by_rule: dict = {}

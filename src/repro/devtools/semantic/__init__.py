@@ -2,15 +2,12 @@
 
 Layering (see each module's docstring for the contract):
 
-* :mod:`~repro.devtools.semantic.model` — frozen summary dataclasses,
-  JSON round-trip, :data:`~repro.devtools.semantic.model.SCHEMA_VERSION`;
-* :mod:`~repro.devtools.semantic.extract` — pure per-module extraction
-  (the cacheable half);
-* :mod:`~repro.devtools.semantic.cache` — content-hash summary cache;
-* :mod:`~repro.devtools.semantic.callgraph` — linking and resolution
-  (the cheap half, re-run every lint);
+* :mod:`~repro.devtools.semantic.model` — frozen summary dataclasses;
+* :mod:`~repro.devtools.semantic.extract` — pure per-module extraction;
+* :mod:`~repro.devtools.semantic.callgraph` — linking, resolution and
+  the transitive closures over the call graph;
 * ``rules_concurrency`` / ``rules_taint`` / ``rules_invalidation`` —
-  the REP700 / REP110 / REP310 interprocedural rules.
+  the REP400 / REP700 / REP110 / REP310 rules over the linked model.
 
 :func:`semantic_pass` is the runner's entry point: summaries in,
 allowlist-filtered diagnostics out.
@@ -23,22 +20,13 @@ from typing import Dict, List, Optional
 from repro.devtools.config import LintConfig, project_config
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import registered_semantic_rules
-from repro.devtools.semantic.cache import SummaryCache
 from repro.devtools.semantic.callgraph import build_model
 from repro.devtools.semantic.extract import extract_module
-from repro.devtools.semantic.model import (
-    ExtractionKnobs,
-    ModuleSummary,
-    ProjectModel,
-    SCHEMA_VERSION,
-)
+from repro.devtools.semantic.model import ModuleSummary, ProjectModel
 
 __all__ = [
-    "ExtractionKnobs",
     "ModuleSummary",
     "ProjectModel",
-    "SCHEMA_VERSION",
-    "SummaryCache",
     "build_model",
     "extract_module",
     "semantic_pass",

@@ -1,10 +1,13 @@
 """Whole-program resolution over per-module summaries.
 
 This is the cheap half of the semantic pass: no parsing, just linking.
-:func:`build_model` folds the (possibly cache-loaded) module summaries
-into a :class:`ProjectModel`; :func:`resolve` turns one unresolved
-:data:`CallRef` into candidate callees; :func:`reachable` computes the
-function/class closure the REP310 wiring rule consumes.
+:func:`build_model` folds the module summaries into a
+:class:`ProjectModel`; :func:`resolve` turns one unresolved
+:data:`CallRef` into candidate callees; :func:`closure` propagates a
+per-function fact set along call edges (locks a call may acquire,
+builds it may reach, event-loop bridges it may drive);
+:func:`reachable` computes the function/class closure the REP310
+wiring rule consumes.
 
 Resolution policy — conservative, bounded:
 
@@ -151,6 +154,35 @@ def constructed_class(model: ProjectModel, ref: CallRef) -> str:
     return ""
 
 
+def closure(
+    model: ProjectModel, seeds: Dict[str, Set[str]]
+) -> Dict[str, Set[str]]:
+    """Fixpoint: each function's ``seeds`` set unioned with the sets of
+    every function it may call, transitively."""
+    callees = {
+        qualname: sorted(
+            {
+                callee
+                for call in function.calls
+                for callee in resolve(model, function, call.ref)
+            }
+        )
+        for qualname, function in model.functions.items()
+    }
+    reached = {qualname: set(seeds.get(qualname, ())) for qualname in model.functions}
+    changed = True
+    while changed:
+        changed = False
+        for qualname in sorted(model.functions):
+            mine = reached[qualname]
+            before = len(mine)
+            for callee in callees[qualname]:
+                mine |= reached[callee]
+            if len(mine) != before:
+                changed = True
+    return reached
+
+
 def find_roots(model: ProjectModel, specs: Iterable[str]) -> Tuple[str, ...]:
     """Qualnames matching root specs of the form ``Class.method`` or a
     bare module-level function name."""
@@ -189,19 +221,3 @@ def reachable(
                     seen.add(callee)
                     stack.append(callee)
     return seen, classes
-
-
-def all_call_edges(
-    model: ProjectModel,
-) -> Iterable[Tuple[FunctionSummary, "CallSiteLike", str]]:
-    """Every resolved ``(caller, call site, callee qualname)`` triple, in
-    deterministic (sorted caller, source order, sorted callee) order."""
-    for qualname in sorted(model.functions):
-        caller = model.functions[qualname]
-        for call in caller.calls:
-            for callee in resolve(model, caller, call.ref):
-                yield caller, call, callee
-
-
-# typing alias for documentation only (CallSite lives in model)
-CallSiteLike = object

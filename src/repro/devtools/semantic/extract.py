@@ -1,12 +1,17 @@
-"""Per-module extraction: one source file → one :class:`ModuleSummary`.
+"""Per-module extraction: one syntax tree → one :class:`ModuleSummary`.
 
-Extraction is a pure function of ``(source, path, knobs)`` — it never
-looks at another file — which is what makes the content-hash cache
-sound.  The walk is deliberately heuristic in the same spirit as the
-syntactic families: it tracks the direct dataflow shapes that occur in
-this codebase (straight-line assignments, ``with`` lock stacks,
+Extraction is a pure function of one module — it never looks at
+another file.  The walk is deliberately heuristic in the same spirit as
+the syntactic families: it tracks the direct dataflow shapes that occur
+in this codebase (straight-line assignments, ``with`` lock stacks,
 self-attribute memos) and leaves opaque flows to the conservative side
 of whichever rule consumes them.
+
+Every ``def`` gets exactly one summary, nested ones included, and the
+module's top-level statements get one more (``<module>``): a lock held
+at import time or inside a closure is checked like any other.  A
+``def`` statement runs its decorators and defaults where it stands;
+its body runs only when called, so the body starts with no lock held.
 
 What is recorded per function:
 
@@ -16,10 +21,9 @@ What is recorded per function:
 * every lock acquisition (``with <lockish>:``) and the locks already
   held — the edges of the lock-order graph;
 * every ``await`` and the locks held around it;
-* entropy sources (``time.*``, module-level ``random.*``, unseeded
-  ``random.Random()``, builtin ``hash()``) and whether they flow into
-  the return value, a memo key, a fingerprint-named binding or a result
-  store row;
+* entropy sources (:func:`repro.devtools.entropy.entropy_source`) and
+  whether they flow into the return value, a memo key, a
+  fingerprint-named binding or a result store row;
 * which parameters flow into the return value and into sinks — the
   hand-off points interprocedural taint propagation stitches together.
 
@@ -37,48 +41,33 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.devtools.entropy import entropy_source, record_import
+from repro.devtools.rules.rep300_cache_keys import MEMO_NAME
 from repro.devtools.semantic.model import (
     ArgDep,
     AwaitEvent,
     CallRef,
     CallSite,
-    ExtractionKnobs,
     FunctionSummary,
     LockEvent,
     ModuleSummary,
     Sink,
 )
 
-#: ``time`` functions whose value is entropy (wall clock or per-process
-#: monotonic origin — neither may reach a key, fingerprint or row)
-_TIME_FUNCS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-    }
-)
+#: lock-like identifiers: the labels of the lock-order graph
+LOCK_NAME = re.compile(r"lock", re.IGNORECASE)
 
-#: module-level ``random`` draws (the REP101 list, minus ``Random``)
-_RANDOM_FUNCS = frozenset(
-    {
-        "random",
-        "randrange",
-        "randint",
-        "choice",
-        "choices",
-        "shuffle",
-        "sample",
-        "uniform",
-        "getrandbits",
-        "randbytes",
-    }
-)
+#: fingerprint-like bindings (REP110 sinks)
+FINGERPRINT_NAME = re.compile(r"fingerprint|digest|signature", re.IGNORECASE)
+
+#: result-store receivers of ``.append(row)`` (REP110 sinks)
+RESULT_STORE = re.compile(r"store", re.IGNORECASE)
+
+#: constructor names of lock objects: matching /lock/i but naming the
+#: *creation* of a lock, not a shared binding worth a graph label
+_LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock", "Semaphore", "BoundedSemaphore"})
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def module_name_for(path: str) -> str:
@@ -119,31 +108,21 @@ class _Deps:
         return self.tainted or bool(self.calls) or bool(self.params)
 
 
-class _ModuleExtractor(ast.NodeVisitor):
-    """Collects imports, classes, hooks and registry keys of one module."""
+class _ModuleExtractor:
+    """Module-wide state every scope walker of one module shares."""
 
-    def __init__(self, module: str, path: str, knobs: ExtractionKnobs):
+    def __init__(self, module: str, path: str):
         self.module = module
         self.path = path
-        self.knobs = knobs
-        self.lock_pattern = re.compile(knobs.lock_name_pattern, re.IGNORECASE)
-        self.memo_pattern = re.compile(knobs.memo_name_pattern)
-        self.fingerprint_pattern = re.compile(
-            knobs.fingerprint_name_pattern, re.IGNORECASE
-        )
-        self.store_pattern = re.compile(knobs.result_store_pattern, re.IGNORECASE)
         self.import_modules: Dict[str, str] = {}
         self.import_objects: Dict[str, Tuple[str, str]] = {}
-        self.time_aliases: Set[str] = set()
         self.functions: List[FunctionSummary] = []
         self.classes: List[Tuple[str, Tuple[str, ...]]] = []
         self.hooks: List[Tuple[str, str, int, int]] = []
         self.registry_keys: List[str] = []
 
-    # -- module level ---------------------------------------------------
     def extract(self, tree: ast.Module) -> ModuleSummary:
-        for node in tree.body:
-            self._top_level(node)
+        _FunctionWalker(self, tree, "<module>").run()
         return ModuleSummary(
             module=self.module,
             path=self.path,
@@ -158,99 +137,40 @@ class _ModuleExtractor(ast.NodeVisitor):
             ),
         )
 
-    def _top_level(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                self.import_modules[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.level == 0:
-                for alias in node.names:
-                    self.import_objects[alias.asname or alias.name] = (
-                        node.module,
-                        alias.name,
-                    )
-                    if node.module == "time" and alias.name in _TIME_FUNCS:
-                        self.time_aliases.add(alias.asname or alias.name)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.functions.append(self._function(node, class_name=""))
-        elif isinstance(node, ast.ClassDef):
-            self._class(node)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            self._registry_literal(node)
-        elif isinstance(node, (ast.If, ast.Try)):
-            # TYPE_CHECKING guards and import fallbacks: recurse one level
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.stmt):
-                    self._top_level(child)
-
-    def _registry_literal(self, node: "ast.Assign | ast.AnnAssign") -> None:
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        value = node.value
-        if value is None or not isinstance(value, ast.Dict):
-            return
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "WORKSPACE_HOOKS":
-                for key in value.keys:
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        self.registry_keys.append(key.value)
-
-    def _class(self, node: ast.ClassDef) -> None:
-        methods: List[str] = []
-        for statement in node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.append(statement.name)
-                self.functions.append(
-                    self._function(statement, class_name=node.name)
-                )
-            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    statement.targets
-                    if isinstance(statement, ast.Assign)
-                    else [statement.target]
-                )
-                value = statement.value
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "__workspace_hook__"
-                        and isinstance(value, ast.Constant)
-                        and isinstance(value.value, str)
-                    ):
-                        self.hooks.append(
-                            (node.name, value.value, statement.lineno, statement.col_offset + 1)
-                        )
-        self.classes.append((node.name, tuple(methods)))
-
-    # -- function level -------------------------------------------------
-    def _function(
-        self, node: "ast.FunctionDef | ast.AsyncFunctionDef", *, class_name: str
-    ) -> FunctionSummary:
-        walker = _FunctionWalker(self, node, class_name)
-        return walker.run()
-
 
 class _FunctionWalker:
-    """One pass over a function body: locks, calls, awaits, dataflow."""
+    """One pass over one scope's body: locks, calls, awaits, dataflow.
+
+    The scope is a ``def`` or, for ``<module>``, the module itself.
+    Every nested ``def`` (methods included) gets a walker of its own;
+    the other statements of a class body run in the enclosing scope.
+    """
 
     def __init__(
         self,
         extractor: _ModuleExtractor,
-        node: "ast.FunctionDef | ast.AsyncFunctionDef",
-        class_name: str,
+        node: "ast.Module | ast.FunctionDef | ast.AsyncFunctionDef",
+        name: str,
+        class_name: str = "",
     ):
         self.x = extractor
         self.node = node
+        self.name = name
         self.class_name = class_name
-        self.params = tuple(
-            arg.arg
-            for arg in (
-                list(node.args.posonlyargs)
-                + list(node.args.args)
-                + list(node.args.kwonlyargs)
-            )
+        is_module = isinstance(node, ast.Module)
+        #: statements walked now bind module globals (imports, the
+        #: WORKSPACE_HOOKS registry); off inside a class body
+        self.module_scope = is_module
+        qualname = f"{class_name}.{name}" if class_name else name
+        self.qualname = f"{extractor.module}::{qualname}"
+        #: name prefix of the defs nested here (none for module level)
+        self.scope = "" if is_module else f"{qualname}.<locals>."
+        args = (
+            []
+            if is_module
+            else node.args.posonlyargs + node.args.args + node.args.kwonlyargs
         )
+        self.params = tuple(arg.arg for arg in args)
         self.param_index = {name: index for index, name in enumerate(self.params)}
         self.env: Dict[str, _Deps] = {}
         self.lock_aliases: Dict[str, str] = {}
@@ -262,37 +182,104 @@ class _FunctionWalker:
         self.return_deps = _Deps()
         self._awaited_calls: Set[int] = set()
 
-    def run(self) -> FunctionSummary:
+    def run(self) -> None:
         for statement in self.node.body:
             self._statement(statement)
-        qual = (
-            f"{self.x.module}::{self.class_name}.{self.node.name}"
-            if self.class_name
-            else f"{self.x.module}::{self.node.name}"
+        self.x.functions.append(
+            FunctionSummary(
+                module=self.x.module,
+                qualname=self.qualname,
+                name=self.name,
+                class_name=self.class_name,
+                line=getattr(self.node, "lineno", 1),
+                col=getattr(self.node, "col_offset", 0) + 1,
+                is_async=isinstance(self.node, ast.AsyncFunctionDef),
+                params=self.params,
+                calls=tuple(self.calls),
+                acquisitions=tuple(self.acquisitions),
+                awaits=tuple(self.awaits),
+                entropy_return=self.return_deps.tainted,
+                entropy_line=self.return_deps.taint_line,
+                return_dep_calls=tuple(sorted(self.return_deps.calls)),
+                return_dep_params=tuple(sorted(self.return_deps.params)),
+                sinks=tuple(self.sinks),
+            )
         )
-        return FunctionSummary(
-            module=self.x.module,
-            qualname=qual,
-            name=self.node.name,
-            class_name=self.class_name,
-            line=self.node.lineno,
-            col=self.node.col_offset + 1,
-            is_async=isinstance(self.node, ast.AsyncFunctionDef),
-            params=self.params,
-            calls=tuple(self.calls),
-            acquisitions=tuple(self.acquisitions),
-            awaits=tuple(self.awaits),
-            entropy_return=self.return_deps.tainted,
-            entropy_line=self.return_deps.taint_line,
-            return_dep_calls=tuple(sorted(self.return_deps.calls)),
-            return_dep_params=tuple(sorted(self.return_deps.params)),
-            sinks=tuple(self.sinks),
-        )
+
+    # -- definitions ----------------------------------------------------
+    def _define(
+        self,
+        node: "ast.FunctionDef | ast.AsyncFunctionDef",
+        name: str,
+        class_name: str = "",
+    ) -> None:
+        """Run what a ``def`` statement evaluates here (decorators and
+        defaults), then summarise its body as a function of its own."""
+        args = node.args
+        for expression in node.decorator_list + args.defaults + args.kw_defaults:
+            self._expr(expression)
+        _FunctionWalker(self.x, node, name, class_name).run()
+
+    def _class(self, node: ast.ClassDef, qualname: str) -> None:
+        """Walk a class statement.  Only a module-level class is
+        registered, so only its methods are resolvable by name; the
+        rest of the body runs here, binding class attributes."""
+        keywords = [keyword.value for keyword in node.keywords]
+        for expression in node.decorator_list + node.bases + keywords:
+            self._expr(expression)
+        registered = "." not in qualname
+        outer = self.module_scope, self.scope
+        self.module_scope, self.scope = False, f"{qualname}."
+        for statement in node.body:
+            if registered and isinstance(statement, _DEFS):
+                self._define(statement, statement.name, class_name=node.name)
+                continue
+            if registered and isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                self._hook(node.name, statement)
+            self._statement(statement)
+        self.module_scope, self.scope = outer
+        if registered:
+            methods = tuple(d.name for d in node.body if isinstance(d, _DEFS))
+            self.x.classes.append((node.name, methods))
+
+    def _hook(self, class_name: str, node: "ast.Assign | ast.AnnAssign") -> None:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        value = node.value
+        for target in targets:
+            if (
+                isinstance(target, ast.Name)
+                and target.id == "__workspace_hook__"
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, str)
+            ):
+                self.x.hooks.append(
+                    (class_name, value.value, node.lineno, node.col_offset + 1)
+                )
+
+    def _registry_literal(self, node: "ast.Assign | ast.AnnAssign") -> None:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        value = node.value
+        if value is None or not isinstance(value, ast.Dict):
+            return
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id == "WORKSPACE_HOOKS":
+                for key in value.keys:
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        self.x.registry_keys.append(key.value)
 
     # -- statements -----------------------------------------------------
     def _statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested defs are out of scope (documented heuristic)
+        if isinstance(node, _DEFS):
+            self._define(node, self.scope + node.name)
+            return
+        if isinstance(node, ast.ClassDef):
+            self._class(node, self.scope + node.name)
+            return
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # function-local imports are conservatively not tracked
+            if self.module_scope:
+                record_import(node, self.x.import_modules, self.x.import_objects)
+            return
         if isinstance(node, ast.With):
             self._with(node)
             return
@@ -310,11 +297,15 @@ class _FunctionWalker:
             self._track_lock_alias(node)
             for target in node.targets:
                 self._assign_target(target, node.value, deps)
+            if self.module_scope:
+                self._registry_literal(node)
             return
         if isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 deps = self._expr(node.value)
                 self._assign_target(node.target, node.value, deps)
+                if self.module_scope:
+                    self._registry_literal(node)
             return
         if isinstance(node, ast.AugAssign):
             deps = self._expr(node.value)
@@ -340,8 +331,6 @@ class _FunctionWalker:
             elif isinstance(child, ast.ExceptHandler):
                 for statement in child.body:
                     self._statement(statement)
-            elif isinstance(child, ast.withitem):  # pragma: no cover
-                self._expr(child.context_expr)
 
     def _with(self, node: ast.With) -> None:
         acquired: List[str] = []
@@ -371,10 +360,10 @@ class _FunctionWalker:
             self.env[target.id] = _Deps(
                 deps.tainted, deps.taint_line, set(deps.calls), set(deps.params)
             )
-            if deps.interesting and self.x.fingerprint_pattern.search(target.id):
+            if deps.interesting and FINGERPRINT_NAME.search(target.id):
                 self._sink("fingerprint", target.id, target, deps)
         elif isinstance(target, ast.Attribute):
-            if deps.interesting and self.x.fingerprint_pattern.search(target.attr):
+            if deps.interesting and FINGERPRINT_NAME.search(target.attr):
                 self._sink("fingerprint", target.attr, target, deps)
         elif isinstance(target, ast.Subscript):
             memo = self._memo_name(target.value)
@@ -399,15 +388,8 @@ class _FunctionWalker:
                 if isinstance(target, ast.Name):
                     self.lock_aliases[target.id] = label
 
-    #: constructor names of lock objects: matching /lock/i but naming the
-    #: *creation* of a lock, not a shared binding worth a graph label
-    _LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock", "Semaphore", "BoundedSemaphore"})
-
     def _is_label(self, name: str) -> bool:
-        return bool(
-            self.x.lock_pattern.search(name)
-            and name not in self._LOCK_CONSTRUCTORS
-        )
+        return bool(LOCK_NAME.search(name) and name not in _LOCK_CONSTRUCTORS)
 
     def _lockish_source(self, node: ast.expr) -> str:
         """A lock label buried in ``node`` (attribute/subscript/call chain)."""
@@ -485,7 +467,16 @@ class _FunctionWalker:
 
     def _call(self, node: ast.Call) -> _Deps:
         deps = _Deps()
-        entropy_line = self._entropy_call(node)
+        # the callee expression runs first: record the calls, awaits and
+        # sinks inside it (``LanguageIndex(g).restricted(2)``), but its
+        # dataflow is the receiver's, not this call's result
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            self._expr(func.value)
+        elif not isinstance(func, ast.Name):
+            self._expr(func)
+        kind, _ = entropy_source(node, self.x.import_modules, self.x.import_objects)
+        entropy_line = node.lineno if kind else 0
         arg_deps_list: List[ArgDep] = []
         for position, argument in enumerate(node.args):
             arg = self._expr(argument)
@@ -523,7 +514,7 @@ class _FunctionWalker:
                 kind == "attr"
                 and name == "append"
                 and receiver
-                and self.x.store_pattern.search(receiver)
+                and RESULT_STORE.search(receiver)
             ):
                 for arg in arg_deps_list:
                     self._sink(
@@ -583,53 +574,26 @@ class _FunctionWalker:
             return ("attr", func.attr, "")
         return None
 
-    def _entropy_call(self, node: ast.Call) -> int:
-        """Line number when ``node`` is a direct entropy source, else 0."""
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            owner, attr = func.value.id, func.attr
-            owner_module = self.x.import_modules.get(owner, "")
-            if owner_module == "time" and attr in _TIME_FUNCS:
-                return node.lineno
-            if owner_module == "random":
-                if attr in _RANDOM_FUNCS:
-                    return node.lineno
-                if attr == "Random" and not node.args and not node.keywords:
-                    return node.lineno
-        elif isinstance(func, ast.Name):
-            if func.id in self.x.time_aliases:
-                return node.lineno
-            if func.id == "hash":
-                return node.lineno
-            alias = self.x.import_objects.get(func.id)
-            if (
-                alias == ("random", "Random")
-                and not node.args
-                and not node.keywords
-            ):
-                return node.lineno
-        return 0
-
     def _memo_name(self, node: ast.expr) -> str:
         """The memo-ish name behind a subscripted/queried container."""
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "self"
-            and self.x.memo_pattern.search(node.attr)
+            and MEMO_NAME.search(node.attr)
         ):
             return node.attr
-        if isinstance(node, ast.Name) and self.x.memo_pattern.search(node.id):
+        if isinstance(node, ast.Name) and MEMO_NAME.search(node.id):
             return node.id
         return ""
 
-    def _sink(self, kind: str, detail: str, node: ast.AST, deps: _Deps) -> None:
+    def _sink(self, kind: str, detail: str, node: ast.expr, deps: _Deps) -> None:
         self.sinks.append(
             Sink(
                 kind=kind,
                 detail=detail,
-                line=getattr(node, "lineno", self.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
+                line=node.lineno,
+                col=node.col_offset + 1,
                 tainted=deps.tainted,
                 taint_line=deps.taint_line,
                 dep_calls=tuple(sorted(deps.calls)),
@@ -639,10 +603,7 @@ class _FunctionWalker:
 
 
 def extract_module(
-    source: str,
-    path: str,
-    knobs: Optional[ExtractionKnobs] = None,
-    tree: Optional[ast.Module] = None,
+    source: str, path: str, tree: Optional[ast.Module] = None
 ) -> ModuleSummary:
     """Summarise one module for the semantic pass.
 
@@ -651,12 +612,10 @@ def extract_module(
     that does not parse yields an empty summary — the runner reports
     ``REP003`` separately.
     """
-    if knobs is None:
-        knobs = ExtractionKnobs()
     module = module_name_for(path)
     if tree is None:
         try:
             tree = ast.parse(source)
         except SyntaxError:
             return ModuleSummary(module=module, path=path)
-    return _ModuleExtractor(module, path, knobs).extract(tree)
+    return _ModuleExtractor(module, path).extract(tree)

@@ -1,35 +1,28 @@
-"""Data model of the semantic pass: per-module summaries, JSON-stable.
+"""Data model of the semantic pass: per-module summaries.
 
 The semantic layer splits cleanly in two:
 
 * **extraction** (:mod:`repro.devtools.semantic.extract`) — a pure
-  function of one module's source producing a :class:`ModuleSummary`:
-  every function's call sites (with the locks lexically held at each),
-  lock acquisitions, awaits, entropy sources/sinks and the local
-  dataflow that connects them, plus the module's classes, imports and
-  ``__workspace_hook__`` declarations.  Because extraction sees one file
-  at a time and nothing else, summaries are cacheable by content hash
-  (:mod:`repro.devtools.semantic.cache`).
+  function of one module's syntax tree producing a
+  :class:`ModuleSummary`: every function's call sites (with the locks
+  lexically held at each), lock acquisitions, awaits, entropy
+  sources/sinks and the local dataflow that connects them, plus the
+  module's classes, imports and ``__workspace_hook__`` declarations.
+  Extraction sees one file at a time and nothing else.
 * **resolution** (:mod:`repro.devtools.semantic.callgraph`) — links the
   summaries into a project-wide call graph and computes the transitive
   closures the interprocedural rules consume (locks a call may acquire,
-  builds it may reach, entropy a return value may carry).  Resolution is
-  cheap (no parsing) and re-runs on every lint.
+  builds it may reach, entropy a return value may carry).
 
-Everything here is a frozen dataclass of primitives and tuples so the
-summaries round-trip losslessly through JSON (``to_dict``/``from_dict``)
-— the property the content-hash cache and the byte-identical-report
-guarantee both rely on.
+Everything here is a frozen dataclass of primitives and tuples, so two
+extractions of the same source compare equal and every rule iterates
+them in a fixed order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Tuple
-
-#: bump when extraction output changes shape or meaning; stale cache
-#: entries written by an older analyzer are ignored, never misread
-SCHEMA_VERSION = 2
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 #: an unresolved reference to a call: (kind, name, receiver) where kind
 #: is "name" (bare call), "self" (``self.m()``), "attr" (method call on
@@ -112,12 +105,19 @@ class Sink:
 
 @dataclass(frozen=True)
 class FunctionSummary:
-    """Everything the semantic rules need to know about one function."""
+    """Everything the semantic rules need to know about one function.
+
+    Module-level functions and the methods of module-level classes are
+    what calls resolve to.  A nested ``def`` is summarised under its
+    dotted Python qualname (``name = "outer.<locals>.inner"``, no class)
+    and the module's own top-level statements as ``name = "<module>"``;
+    no call names either, so both are checked but never reached.
+    """
 
     module: str
     qualname: str  # "pkg.mod::Class.method" / "pkg.mod::func"
     name: str
-    class_name: str  # "" for module-level functions
+    class_name: str  # "" unless a method of a module-level class
     line: int
     col: int
     is_async: bool
@@ -137,7 +137,7 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """The cacheable per-module analysis result."""
+    """The per-module analysis result."""
 
     module: str  # dotted module name derived from the relpath
     path: str  # repo-root-relative posix path (diagnostic anchor)
@@ -152,100 +152,6 @@ class ModuleSummary:
     import_modules: Tuple[Tuple[str, str], ...] = ()
     #: ``from m import f as g`` → (g, "m", "f")
     import_objects: Tuple[Tuple[str, str, str], ...] = ()
-
-
-# ----------------------------------------------------------------------
-# JSON round-trip
-# ----------------------------------------------------------------------
-# Summaries are encoded *positionally*: a dataclass becomes
-# ``["\x00TypeName", field0, field1, ...]`` in declared-field order, a
-# tuple becomes a plain list.  The NUL sigil keeps the type tag out of
-# the space of real string values (identifiers and dotted names never
-# contain NUL), and dropping per-field keys roughly halves both the
-# entry size and the decode time — the cache-load path is what the
-# warm-lint speed guarantee rests on.
-
-_TYPES: Dict[str, Any] = {}
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
-
-
-def _register_types() -> Dict[str, Any]:
-    if not _TYPES:
-        for cls in (ArgDep, CallSite, LockEvent, AwaitEvent, Sink, FunctionSummary, ModuleSummary):
-            _TYPES[cls.__name__] = cls
-            _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return _TYPES
-
-
-def _to_jsonable(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_to_jsonable(item) for item in value]
-    if hasattr(value, "__dataclass_fields__"):
-        _register_types()
-        return [
-            "\x00" + type(value).__name__,
-            *(
-                _to_jsonable(getattr(value, name))
-                for name in _FIELD_NAMES[type(value)]
-            ),
-        ]
-    return value
-
-
-def _from_jsonable(value: Any) -> Any:
-    if isinstance(value, list):
-        if not value:
-            return ()
-        head = value[0]
-        if isinstance(head, str) and head.startswith("\x00"):
-            cls = _register_types()[head[1:]]
-            # frozen-dataclass __init__ pays one object.__setattr__ per
-            # field; on the cache-load hot path we build the instance
-            # directly (the summaries are plain value objects)
-            instance = object.__new__(cls)
-            instance.__dict__.update(
-                zip(_FIELD_NAMES[cls], (_from_jsonable(item) for item in value[1:]))
-            )
-            return instance
-        return tuple(_from_jsonable(item) for item in value)
-    return value
-
-
-def summary_to_payload(summary: ModuleSummary) -> Any:
-    """JSON-serialisable (positional) form of a :class:`ModuleSummary`."""
-    return _to_jsonable(summary)
-
-
-def summary_from_payload(payload: Any) -> ModuleSummary:
-    """Inverse of :func:`summary_to_payload`."""
-    restored = _from_jsonable(payload)
-    if not isinstance(restored, ModuleSummary):
-        raise ValueError("payload does not encode a ModuleSummary")
-    return restored
-
-
-@dataclass
-class ExtractionKnobs:
-    """The config knobs extraction depends on (part of the cache key).
-
-    Resolution-only knobs (build-call names, guard locks, hop bounds,
-    invalidation roots) are deliberately absent: changing them re-runs
-    resolution but never invalidates cached extraction.
-    """
-
-    memo_name_pattern: str = r"cache|memo|plans|answers|entries"
-    lock_name_pattern: str = r"lock"
-    fingerprint_name_pattern: str = r"fingerprint|digest|signature"
-    result_store_pattern: str = r"store"
-
-    def digest_parts(self) -> Tuple[str, ...]:
-        return (
-            str(SCHEMA_VERSION),
-            self.memo_name_pattern,
-            self.lock_name_pattern,
-            self.fingerprint_name_pattern,
-            self.result_store_pattern,
-        )
 
 
 @dataclass

@@ -1,5 +1,21 @@
-"""REP700 — interprocedural concurrency invariants.
+"""REP400 / REP700 — concurrency invariants over the extracted call sites.
 
+The serving layer's locking scheme is deadlock-free only because of an
+ordering invariant: the registry lock (``self._lock``) is taken for
+dictionary bookkeeping **only** and never held across an index build;
+cold builds serialise on per-key build locks taken while *not* holding
+the registry lock.  A build creeping under the registry lock
+reintroduces the N-session convoy (and the deadlock, once a build
+re-enters a registry accessor).
+
+* **REP401** registry lock held across a build call made right there:
+  a :data:`BUILD_CALLS` call site whose lexically held locks include a
+  :data:`GUARD_LOCKS` label.  Per-key build locks (any other name, e.g.
+  ``build_lock``) are exempt by construction — being held across the
+  build is their purpose.  A ``def`` merely *defined* under the lock is
+  not a build under it: its body runs when called, without the lock.
+* **REP402** bare ``.acquire()`` on a registry lock: acquisition must
+  use ``with`` so no exception path leaks the lock.
 * **REP701** lock-order cycle: the project-wide lock-acquisition graph
   (label ``A`` → label ``B`` when some execution path acquires ``B``
   while holding ``A``, directly or through calls) contains a cycle over
@@ -9,10 +25,10 @@
   reentrant ``RLock``s, so ``_lock`` → ``_lock`` is the documented
   reentrancy idiom rather than a self-deadlock the analysis could
   actually prove.
-* **REP702** registry lock held across a build, transitively: REP401
-  already flags a build call lexically inside ``with self._lock:``;
-  this closes the interprocedural hole where the lock-holding function
-  calls a helper and the helper does the building.
+* **REP702** registry lock held across a build, transitively: the
+  lock-holding function calls a helper and the helper (or something it
+  calls) does the building.  REP401 is the zero-hop case of the same
+  check.
 * **REP703** event-loop starvation: an ``await`` (or a synchronous
   ``asyncio.run``/``run_until_complete`` bridge) reachable while a
   ``threading`` lock is held.  The awaiting coroutine parks holding the
@@ -22,37 +38,30 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.devtools.config import LintConfig
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import semantic_rule
-from repro.devtools.semantic.callgraph import resolve
-from repro.devtools.semantic.model import FunctionSummary, ProjectModel
+from repro.devtools.semantic.callgraph import closure, resolve
+from repro.devtools.semantic.model import ProjectModel
+
+#: lock labels that are registry locks: never held across a build
+GUARD_LOCKS = frozenset({"_lock", "_DEFAULT_LOCK"})
+
+#: callables whose invocation counts as "a build"
+BUILD_CALLS = frozenset(
+    {
+        "LanguageIndex",
+        "SessionClassifier",
+        "restricted",
+        "refreshed",
+        "classify_all_scratch",
+    }
+)
 
 #: provenance of one lock-graph edge: (path, line, col, human explanation)
 _Edge = Tuple[str, int, int, str]
-
-
-def _may_acquire(model: ProjectModel) -> Dict[str, Set[str]]:
-    """Fixpoint: lock labels each function may acquire, transitively."""
-    acquire: Dict[str, Set[str]] = {
-        qualname: {event.name for event in function.acquisitions}
-        for qualname, function in model.functions.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for qualname in sorted(model.functions):
-            function = model.functions[qualname]
-            mine = acquire[qualname]
-            before = len(mine)
-            for call in function.calls:
-                for callee in resolve(model, function, call.ref):
-                    mine |= acquire.get(callee, set())
-            if len(mine) != before:
-                changed = True
-    return acquire
 
 
 def _lock_edges(
@@ -157,7 +166,13 @@ def _cycles(edges: Iterable[Tuple[str, str]]) -> List[Tuple[str, ...]]:
 def check_lock_order(
     model: ProjectModel, config: LintConfig
 ) -> Iterable[Diagnostic]:
-    acquire = _may_acquire(model)
+    acquire = closure(  # lock labels each function may acquire, transitively
+        model,
+        {
+            qualname: {event.name for event in function.acquisitions}
+            for qualname, function in model.functions.items()
+        },
+    )
     edges = _lock_edges(model, acquire)
     for component in _cycles(edges.keys()):
         members = set(component)
@@ -183,60 +198,94 @@ def check_lock_order(
         )
 
 
-def _may_build(
-    model: ProjectModel, build_calls: Tuple[str, ...]
-) -> Dict[str, Set[str]]:
-    """Fixpoint: build-call names each function may reach, transitively."""
-    builds: Dict[str, Set[str]] = {
-        qualname: {
-            call.name for call in function.calls if call.name in build_calls
-        }
-        for qualname, function in model.functions.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for qualname in sorted(model.functions):
-            function = model.functions[qualname]
-            mine = builds[qualname]
-            before = len(mine)
-            for call in function.calls:
+def _builds_under_guard(
+    model: ProjectModel, transitive: bool
+) -> Iterator[Diagnostic]:
+    """Builds run while a registry lock is held: called right at the
+    call site (REP401) or, with ``transitive``, reached through the
+    callee (REP702) — one check, split by hop count."""
+    builds: Dict[str, Set[str]] = {}
+    if transitive:
+        builds = closure(
+            model,
+            {
+                qualname: {c.name for c in function.calls if c.name in BUILD_CALLS}
+                for qualname, function in model.functions.items()
+            },
+        )
+    for qualname in sorted(model.functions):
+        function = model.functions[qualname]
+        path = model.modules_path(function.module)
+        for call in function.calls:
+            guards = [name for name in call.locks_held if name in GUARD_LOCKS]
+            if not guards:
+                continue
+            if call.name in BUILD_CALLS:
+                if not transitive:
+                    yield Diagnostic(
+                        path,
+                        call.line,
+                        call.col,
+                        "REP401",
+                        f"build call {call.name}(...) while holding registry "
+                        f"lock {guards[-1]}; build outside the lock and re-check "
+                        "(double-checked per-key build locks)",
+                        symbol=call.name,
+                    )
+            elif transitive:
+                reached: Set[str] = set()
                 for callee in resolve(model, function, call.ref):
-                    mine |= builds.get(callee, set())
-            if len(mine) != before:
-                changed = True
-    return builds
+                    reached |= builds[callee]
+                if reached:
+                    yield Diagnostic(
+                        path,
+                        call.line,
+                        call.col,
+                        "REP702",
+                        f"{guards[0]} is held across a call to {call.name}(), "
+                        f"which may run build(s) {', '.join(sorted(reached))}; "
+                        "release the registry lock before building "
+                        "(double-checked pattern)",
+                        symbol=call.name,
+                    )
+
+
+@semantic_rule("REP401", "REP400", "registry lock held across a build call")
+def check_build_under_lock(
+    model: ProjectModel, config: LintConfig
+) -> Iterable[Diagnostic]:
+    return _builds_under_guard(model, transitive=False)
+
+
+@semantic_rule("REP402", "REP400", "bare acquire() on a registry lock")
+def check_bare_acquire(
+    model: ProjectModel, config: LintConfig
+) -> Iterable[Diagnostic]:
+    for qualname in sorted(model.functions):
+        function = model.functions[qualname]
+        path = model.modules_path(function.module)
+        for call in function.calls:
+            if (
+                call.kind == "attr"
+                and call.name == "acquire"
+                and call.receiver in GUARD_LOCKS
+            ):
+                yield Diagnostic(
+                    path,
+                    call.line,
+                    call.col,
+                    "REP402",
+                    f"bare {call.receiver}.acquire(); acquire locks with "
+                    "'with' so every exit path releases",
+                    symbol=call.receiver,
+                )
 
 
 @semantic_rule("REP702", "REP700", "registry lock held across a build, transitively")
 def check_lock_across_build(
     model: ProjectModel, config: LintConfig
 ) -> Iterable[Diagnostic]:
-    builds = _may_build(model, config.build_calls)
-    for qualname in sorted(model.functions):
-        function = model.functions[qualname]
-        path = model.modules_path(function.module)
-        for call in function.calls:
-            guards = [
-                name for name in call.locks_held if name in config.guard_lock_names
-            ]
-            if not guards or call.name in config.build_calls:
-                continue  # the direct case is REP401's (lexical) finding
-            reached: Set[str] = set()
-            for callee in resolve(model, function, call.ref):
-                reached |= builds.get(callee, set())
-            if reached:
-                yield Diagnostic(
-                    path,
-                    call.line,
-                    call.col,
-                    "REP702",
-                    f"{guards[0]} is held across a call to {call.name}(), "
-                    f"which may run build(s) {', '.join(sorted(reached))}; "
-                    "release the registry lock before building "
-                    "(double-checked pattern)",
-                    symbol=call.name,
-                )
+    return _builds_under_guard(model, transitive=True)
 
 
 def _is_bridge_call(ref: Tuple[str, str, str]) -> bool:
@@ -253,27 +302,15 @@ def _executes_await(model: ProjectModel) -> Set[str]:
     call something that does.  Plain ``async def`` bodies are excluded —
     calling them only builds a coroutine; the execution happens at the
     caller's ``await``, which REP703 checks at that site."""
-    bridges: Set[str] = set()
-    for qualname, function in model.functions.items():
-        for call in function.calls:
-            if _is_bridge_call(call.ref):
-                bridges.add(qualname)
-    changed = True
-    while changed:
-        changed = False
-        for qualname in sorted(model.functions):
-            if qualname in bridges:
-                continue
-            function = model.functions[qualname]
-            for call in function.calls:
-                if any(
-                    callee in bridges
-                    for callee in resolve(model, function, call.ref)
-                ):
-                    bridges.add(qualname)
-                    changed = True
-                    break
-    return bridges
+    reached = closure(
+        model,
+        {
+            qualname: {"bridge"}
+            for qualname, function in model.functions.items()
+            if any(_is_bridge_call(call.ref) for call in function.calls)
+        },
+    )
+    return {qualname for qualname, found in reached.items() if found}
 
 
 @semantic_rule("REP703", "REP700", "await reachable while a threading lock is held")

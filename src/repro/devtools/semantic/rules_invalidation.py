@@ -13,9 +13,7 @@ closes the loop over the call graph:
 * the hook string must be a key of a ``WORKSPACE_HOOKS`` literal
   somewhere in the linted tree, and
 * the declaring class must be reachable (method call or construction,
-  transitively) from the configured invalidation roots
-  (``GraphWorkspace.refresh`` / ``GraphWorkspace.invalidate`` by
-  default).
+  transitively) from the invalidation roots (:data:`ROOTS`).
 
 The rule stands down when the linted tree contains no registry or none
 of the roots — linting a fixture package or a partial tree must not
@@ -32,6 +30,9 @@ from repro.devtools.registry import semantic_rule
 from repro.devtools.semantic.callgraph import find_roots, reachable
 from repro.devtools.semantic.model import ProjectModel
 
+#: ``Class.method`` roots the reachability check starts from
+ROOTS = ("GraphWorkspace.refresh", "GraphWorkspace.invalidate")
+
 
 @semantic_rule("REP310", "REP300", "workspace hook declared but not driven")
 def check_hook_wiring(
@@ -39,11 +40,11 @@ def check_hook_wiring(
 ) -> Iterable[Diagnostic]:
     if not model.has_registry:
         return
-    roots = find_roots(model, config.invalidation_roots)
+    roots = find_roots(model, ROOTS)
     if not roots:
         return
     _functions, reached_classes = reachable(model, roots)
-    root_names = ", ".join(config.invalidation_roots)
+    root_names = ", ".join(ROOTS)
     for path in sorted(model.modules):
         summary = model.modules[path]
         for class_name, hook, line, col in summary.hooks:

@@ -2,8 +2,9 @@
 
 The syntactic determinism family (REP101–104) flags entropy *sources*;
 this rule follows the *value*: wall-clock time, unseeded ``random``
-draws and builtin ``hash()`` results that travel through at most
-``taint_max_hops`` call-graph edges into a **memo key**, a
+draws and builtin ``hash()`` results (the sources of
+:mod:`repro.devtools.entropy`) that travel through at most
+:data:`MAX_HOPS` call-graph edges into a **memo key**, a
 **fingerprint-named binding** or a **result-store row**.  Those three
 positions are where nondeterminism stops being a local wart and
 becomes corrupted identity: a memo keyed on ``time.time()`` never hits,
@@ -26,10 +27,11 @@ from repro.devtools.registry import semantic_rule
 from repro.devtools.semantic.callgraph import resolve
 from repro.devtools.semantic.model import CallRef, ProjectModel
 
+#: call-graph hop budget of the taint propagation
+MAX_HOPS = 3
 
-def _entropy_return_depth(
-    model: ProjectModel, max_hops: int
-) -> Dict[str, int]:
+
+def _entropy_return_depth(model: ProjectModel) -> Dict[str, int]:
     """Fixpoint: minimal hops for entropy to reach each function's
     return value (0 = a source appears in the return expression)."""
     depth: Dict[str, int] = {
@@ -45,17 +47,15 @@ def _entropy_return_depth(
             for ref in function.return_dep_calls:
                 for callee in resolve(model, function, ref):
                     through = depth.get(callee)
-                    if through is None or through + 1 > max_hops:
+                    if through is None or through + 1 > MAX_HOPS:
                         continue
-                    if through + 1 < depth.get(qualname, max_hops + 1):
+                    if through + 1 < depth.get(qualname, MAX_HOPS + 1):
                         depth[qualname] = through + 1
                         changed = True
     return depth
 
 
-def _sink_param_depth(
-    model: ProjectModel, max_hops: int
-) -> Dict[str, Dict[int, Tuple[int, str]]]:
+def _sink_param_depth(model: ProjectModel) -> Dict[str, Dict[int, Tuple[int, str]]]:
     """Fixpoint: per function, parameters that flow into a sink —
     ``param index -> (hops to the sink, sink description)``."""
     depth: Dict[str, Dict[int, Tuple[int, str]]] = {}
@@ -79,7 +79,7 @@ def _sink_param_depth(
                     callee_table = depth.get(callee, {})
                     for arg in call.arg_deps:
                         reached = callee_table.get(arg.position)
-                        if reached is None or reached[0] + 1 > max_hops:
+                        if reached is None or reached[0] + 1 > MAX_HOPS:
                             continue
                         for position in arg.dep_params:
                             hops = reached[0] + 1
@@ -94,14 +94,13 @@ def _entropy_of_refs(
     function,
     refs: Iterable[CallRef],
     depth: Dict[str, int],
-    max_hops: int,
 ) -> Optional[Tuple[int, str]]:
     """Cheapest entropy-carrying callee among ``refs``: (hops, who)."""
     best: Optional[Tuple[int, str]] = None
     for ref in refs:
         for callee in resolve(model, function, ref):
             through = depth.get(callee)
-            if through is None or through + 1 > max_hops:
+            if through is None or through + 1 > MAX_HOPS:
                 continue
             if best is None or through + 1 < best[0]:
                 best = (through + 1, callee)
@@ -112,9 +111,8 @@ def _entropy_of_refs(
 def check_entropy_taint(
     model: ProjectModel, config: LintConfig
 ) -> Iterable[Diagnostic]:
-    max_hops = config.taint_max_hops
-    return_depth = _entropy_return_depth(model, max_hops)
-    sink_depth = _sink_param_depth(model, max_hops)
+    return_depth = _entropy_return_depth(model)
+    sink_depth = _sink_param_depth(model)
     seen: Set[Tuple[str, int, str]] = set()
     results: List[Diagnostic] = []
 
@@ -140,9 +138,7 @@ def check_entropy_taint(
                     sink.detail,
                 )
                 continue
-            carried = _entropy_of_refs(
-                model, function, sink.dep_calls, return_depth, max_hops
-            )
+            carried = _entropy_of_refs(model, function, sink.dep_calls, return_depth)
             if carried is not None:
                 hops, source = carried
                 emit(
@@ -161,7 +157,7 @@ def check_entropy_taint(
                     if reached is None:
                         continue
                     sink_hops, sink_label = reached
-                    if arg.tainted and sink_hops + 1 <= max_hops:
+                    if arg.tainted and sink_hops + 1 <= MAX_HOPS:
                         emit(
                             path,
                             call.line,
@@ -173,11 +169,11 @@ def check_entropy_taint(
                         )
                         continue
                     carried = _entropy_of_refs(
-                        model, function, arg.dep_calls, return_depth, max_hops
+                        model, function, arg.dep_calls, return_depth
                     )
                     if (
                         carried is not None
-                        and carried[0] + sink_hops + 1 <= max_hops
+                        and carried[0] + sink_hops + 1 <= MAX_HOPS
                     ):
                         emit(
                             path,

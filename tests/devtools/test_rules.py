@@ -8,7 +8,10 @@ assertions instead of in checked-in bad files.
 
 import textwrap
 
-from repro.devtools import LintConfig, lint_source, project_config
+import pytest
+
+from repro.devtools import LintConfig, lint_source
+from repro.devtools.entropy import RANDOM_FUNCS
 
 
 def lint(source, path="src/repro/example.py", config=None):
@@ -49,6 +52,16 @@ class TestREP100Determinism:
 
             def fresh_seed():
                 return random.Random().randrange(1 << 32)
+            """
+        )
+
+    def test_unseeded_from_imported_random_class_flagged(self):
+        assert "REP102" in rules_of(
+            """
+            from random import Random
+
+            def fresh_seed():
+                return Random().randrange(1 << 32)
             """
         )
 
@@ -115,6 +128,62 @@ class TestREP100Determinism:
                 return any(item % 2 == 0 for item in seen)
             """
         ) == []
+
+
+#: one memo lookup keyed on ``{source}``, the entropy shape under test
+MEMO_KEYED_ON = """
+{imports}
+
+class Picker:
+    def __init__(self):
+        self._memo = {{}}
+
+    def pick(self, items):
+        return self._memo.get({source})
+"""
+
+#: (import line, source expression, the REP10x rule it fires)
+ENTROPY_SHAPES = (
+    [("import random", f"random.{name}(items)", "REP101") for name in sorted(RANDOM_FUNCS)]
+    + [
+        (f"from random import {name}", f"{name}(items)", "REP101")
+        for name in sorted(RANDOM_FUNCS)
+    ]
+    + [
+        ("import random as rng", "rng.choice(items)", "REP101"),
+        ("from random import shuffle as mix", "mix(items)", "REP101"),
+        ("from random import SystemRandom", "SystemRandom()", "REP101"),
+        ("import random", "random.Random()", "REP102"),
+        ("from random import Random", "Random()", "REP102"),
+        ("", "hash(items)", "REP103"),
+    ]
+)
+
+
+class TestREP110EntropyTaint:
+    def test_from_imported_choice_reaching_memo_key_flagged(self):
+        pairs, _ = lint(
+            MEMO_KEYED_ON.format(imports="from random import choice", source="choice(items)")
+        )
+        assert ("REP101", 9) in pairs and ("REP110", 9) in pairs
+
+    def test_module_gauss_reaching_memo_key_flagged(self):
+        pairs, _ = lint(
+            MEMO_KEYED_ON.format(imports="import random", source="random.gauss(0, 1)")
+        )
+        assert ("REP101", 9) in pairs and ("REP110", 9) in pairs
+
+    @pytest.mark.parametrize(
+        "imports, source, rule_id",
+        ENTROPY_SHAPES,
+        ids=[f"{rule_id}:{source}" for _, source, rule_id in ENTROPY_SHAPES],
+    )
+    def test_every_flagged_source_taints_a_memo_key(self, imports, source, rule_id):
+        """REP101–103 and REP110 read one entropy table: whatever the
+        syntactic rules flag at its call, REP110 follows into a key."""
+        rules = rules_of(MEMO_KEYED_ON.format(imports=imports, source=source))
+        assert rule_id in rules
+        assert "REP110" in rules
 
 
 class TestREP200Workspace:
@@ -309,9 +378,7 @@ class TestREP300CacheKeys:
                 self._memo[key] = value
         """
         assert "REP301" in rules_of(source, path="src/repro/serving/thing.py")
-        config = project_config().merged(
-            {"allow": {"REP301": ["src/repro/serving/thing.py::_memo"]}}
-        )
+        config = LintConfig(allow={"REP301": ("src/repro/serving/thing.py::_memo",)})
         assert rules_of(source, path="src/repro/serving/thing.py", config=config) == []
 
 
@@ -338,6 +405,59 @@ class TestREP400Locks:
                     with self._lock:
                         self._indexes[key] = (graph.version, index)
                     return index
+            """
+        ) == []
+
+    def test_module_level_build_under_default_lock_flagged(self):
+        pairs, diagnostics = lint(
+            """
+            import threading
+
+            _DEFAULT_LOCK = threading.RLock()
+
+            with _DEFAULT_LOCK:
+                INDEX = LanguageIndex(GRAPH, 3)
+            """
+        )
+        assert pairs == [("REP401", 7)]
+        assert "_DEFAULT_LOCK" in diagnostics[0].message
+
+    def test_build_under_lock_inside_nested_def_flagged(self):
+        assert ("REP401", 6) in lint(
+            """
+            class Workspace:
+                def language_index(self, graph, bound):
+                    def build():
+                        with self._lock:
+                            return LanguageIndex(graph, bound)
+                    return build()
+            """
+        )[0]
+
+    def test_build_in_a_call_receiver_flagged(self):
+        _, diagnostics = lint(
+            """
+            class Workspace:
+                def small_index(self, graph):
+                    with self._lock:
+                        return LanguageIndex(graph, 4).restricted(2)
+            """
+        )
+        assert sorted(d.symbol for d in diagnostics if d.rule_id == "REP401") == [
+            "LanguageIndex",
+            "restricted",
+        ]
+
+    def test_def_only_defined_under_lock_is_clean(self):
+        # defining a function does not run it: its body holds no lock
+        assert rules_of(
+            """
+            class Workspace:
+                def builder(self, graph, bound):
+                    with self._lock:
+                        def build():
+                            return LanguageIndex(graph, bound)
+                    return build
             """
         ) == []
 

@@ -17,7 +17,6 @@ from repro.devtools.runner import lint_paths
 from repro.devtools.semantic import build_model, extract_module
 from repro.devtools.semantic.callgraph import resolve
 from repro.devtools.semantic.extract import module_name_for
-from repro.devtools.semantic.model import ExtractionKnobs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -130,7 +129,6 @@ def test_rep310_silent_when_refresh_constructs_the_hook_class():
 def test_rep310_stands_down_without_registry_or_roots():
     # a partial tree (no WORKSPACE_HOOKS literal, no GraphWorkspace)
     # must not produce phantom wiring findings
-    knobs = ExtractionKnobs()
     source = (
         "class LoneCache:\n"
         "    __workspace_hook__ = 'graph.lone'\n"
@@ -138,7 +136,7 @@ def test_rep310_stands_down_without_registry_or_roots():
         "    def __init__(self, graph):\n"
         "        self.version = graph.version\n"
     )
-    summary = extract_module(source, "lone.py", knobs)
+    summary = extract_module(source, "lone.py")
     from repro.devtools.semantic import semantic_pass
 
     config = LintConfig(select=("REP300",))
@@ -156,7 +154,6 @@ def test_module_name_for_strips_src_and_init():
 
 
 def test_lock_alias_tracking_and_constructor_exclusion():
-    knobs = ExtractionKnobs()
     source = (
         "import threading\n"
         "\n"
@@ -169,7 +166,7 @@ def test_lock_alias_tracking_and_constructor_exclusion():
         "        with guard:\n"
         "            return 1\n"
     )
-    summary = extract_module(source, "holder.py", knobs)
+    summary = extract_module(source, "holder.py")
     functions = {f.name: f for f in summary.functions}
     # the alias resolves back to the attribute's label ...
     assert [event.name for event in functions["locked"].acquisitions] == ["_lock"]
@@ -178,17 +175,45 @@ def test_lock_alias_tracking_and_constructor_exclusion():
 
 
 def test_resolution_is_conservative_on_common_method_names():
-    knobs = ExtractionKnobs()
-    a = extract_module(
-        "def caller(items):\n    items.append(1)\n", "a.py", knobs
-    )
+    a = extract_module("def caller(items):\n    items.append(1)\n", "a.py")
     b = extract_module(
         "class Log:\n    def append(self, item):\n        self.item = item\n",
         "b.py",
-        knobs,
     )
     model = build_model({"a.py": a, "b.py": b})
     caller = model.functions["a::caller"]
     (call,) = caller.calls
     # .append on an opaque receiver must not link to Log.append
     assert resolve(model, caller, call.ref) == ()
+
+
+def test_every_def_and_the_module_body_get_one_summary():
+    source = (
+        "def outer():\n"
+        "    def inner():\n"
+        "        return 1\n"
+        "    return inner()\n"
+        "\n"
+        "class Box:\n"
+        "    class Inner:\n"
+        "        def get(self):\n"
+        "            return 2\n"
+        "\n"
+        "outer()\n"
+    )
+    summary = extract_module(source, "mod.py")
+    assert sorted(f.qualname for f in summary.functions) == [
+        "mod::<module>",
+        "mod::Box.Inner.get",
+        "mod::outer",
+        "mod::outer.<locals>.inner",
+    ]
+    model = build_model({"mod.py": summary})
+    # nested defs are checked but never a call target ...
+    outer = model.functions["mod::outer"]
+    (call,) = outer.calls
+    assert resolve(model, outer, call.ref) == ()
+    # ... while module-level statements call into the module as usual
+    module = model.functions["mod::<module>"]
+    (call,) = module.calls
+    assert resolve(model, module, call.ref) == ("mod::outer",)

@@ -91,17 +91,6 @@ class TestSuppressionGrammar:
         )
         assert [d.rule_id for d in diagnostics] == ["REP002"]
 
-    def test_unused_reporting_can_be_disabled(self):
-        config = LintConfig(report_unused_suppressions=False)
-        diagnostics = lint(
-            """
-            def clean():
-                return 0  # repro-lint: disable=REP103 -- stale waiver kept by mistake
-            """,
-            config=config,
-        )
-        assert diagnostics == []
-
     def test_pragma_inside_string_literal_is_ignored(self):
         diagnostics = lint(
             """
@@ -153,20 +142,6 @@ class TestConfig:
     def test_family_allowlist_covers_member_rules(self):
         config = LintConfig(allow={"REP300": ("src/repro/a.py::*",)})
         assert config.is_allowed(_diagnostic("REP301", "src/repro/a.py", "_memo"))
-
-    def test_merged_overlay_overrides_and_extends(self):
-        base = project_config()
-        merged = base.merged({"select": ["REP100"], "allow": {"REP103": ["x.py::*"]}})
-        assert merged.select == ("REP100",)
-        assert merged.is_allowed(_diagnostic("REP103", "x.py", "anything"))
-        # untouched fields survive the merge
-        assert merged.memo_name_pattern == base.memo_name_pattern
-
-    def test_from_file_round_trip(self, tmp_path):
-        overlay = tmp_path / "lint.json"
-        overlay.write_text(json.dumps({"select": ["REP400"]}))
-        config = LintConfig.from_file(str(overlay))
-        assert config.select == ("REP400",)
 
 
 class TestRunner:

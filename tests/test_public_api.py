@@ -1,5 +1,6 @@
 """Tests for the top-level public API surface."""
 
+import argparse
 import inspect
 import re
 from pathlib import Path
@@ -18,6 +19,8 @@ from repro import (
     SimulatedUser,
     learn_query,
 )
+from repro.cli import build_parser
+from repro.devtools import LintConfig, lint_paths, lint_source
 from repro.experiments import ExperimentRunner, build_plan
 from repro.interactive.oracle import UnreliableUser
 from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
@@ -105,7 +108,13 @@ EXPECTED_PARAMETERS = [
             "churn_node_counts",
         },
     ),
+    (LintConfig, {"select", "allow"}),
+    (lint_paths, {"paths", "config", "root"}),
+    (lint_source, {"source", "path", "config"}),
 ]
+
+#: the options of ``repro lint`` (the positional ``paths`` aside)
+EXPECTED_LINT_OPTIONS = {"--format", "--select", "--output", "--include-tests"}
 
 
 def toml_table(text, name):
@@ -221,6 +230,19 @@ class TestOptionSurface:
     )
     def test_parameters_are_pinned(self, target, expected):
         assert set(inspect.signature(target).parameters) == expected
+
+    def test_lint_cli_options_are_pinned(self):
+        (subcommands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            option
+            for action in subcommands.choices["lint"]._actions
+            for option in action.option_strings
+        }
+        assert options - {"-h", "--help"} == EXPECTED_LINT_OPTIONS
 
     def test_every_registered_strategy_is_pinned(self):
         pinned = {target for target, _ in EXPECTED_PARAMETERS}
