@@ -112,7 +112,7 @@ def _scripted_order(order):
 
             while self._queue:
                 node = self._queue.pop(0)
-                if node not in examples.labeled_nodes:
+                if examples.label_of(node) is None:
                     return node
             raise NoCandidateNodeError("script exhausted")
 

@@ -157,9 +157,10 @@ class InteractiveSession:
         self.examples = ExampleSet()
         #: incremental informativeness classifier shared by the session,
         #: the proposal strategy, propagation and the halt check — one
-        #: language index and one per-node status table for the whole
-        #: loop, updated per interaction delta (the informativeness
-        #: counterpart of threading one QueryEngine everywhere)
+        #: language index and one set of per-node flags for the whole
+        #: loop, updated from the labels each interaction adds (the
+        #: informativeness counterpart of threading one QueryEngine
+        #: everywhere)
         self.classifier = workspace.classifier(
             graph, self.examples, max_length=self.strategy.max_path_length
         )
@@ -286,14 +287,12 @@ class InteractiveSession:
         else:
             self.examples.add_negative(node)
 
-        propagation_rounds = propagate_to_fixpoint(
+        propagation = propagate_to_fixpoint(
             self.graph,
             self.examples,
             max_length=self.strategy.max_path_length,
             classifier=self.classifier,
         )
-        propagated_positive = sum(len(round_.implied_positive) for round_ in propagation_rounds)
-        propagated_negative = sum(len(round_.implied_negative) for round_ in propagation_rounds)
 
         hypothesis_consistent = True
         try:
@@ -313,8 +312,8 @@ class InteractiveSession:
             zooms=zooms,
             final_radius=neighborhood.radius,
             validated_word=validated_word,
-            propagated_positive=propagated_positive,
-            propagated_negative=propagated_negative,
+            propagated_positive=len(propagation.implied_positive),
+            propagated_negative=len(propagation.implied_negative),
             hypothesis=self.hypothesis,
             hypothesis_consistent=hypothesis_consistent,
             informative_remaining=self._informative_remaining(),

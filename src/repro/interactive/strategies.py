@@ -22,9 +22,9 @@ Implemented strategies:
 
 All informativeness lookups resolve to the shared incremental
 :class:`~repro.learning.informativeness.SessionClassifier` of the
-``(graph, examples, max_path_length)`` triple, so a strategy proposing
-inside a session re-ranks from bitset deltas instead of re-enumerating
-every node's path language per interaction.
+``(graph, examples, max_path_length)`` triple.  The most-informative
+strategy asks it for the top node alone, which it finds on a heap of
+stale scores; the other informative strategies get the full ranking.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.learning.informativeness import (
     SessionClassifier,
     classify_all,
     informative_nodes,
+    most_informative_node,
 )
 
 
@@ -99,7 +100,7 @@ class Strategy(ABC):
 
     def _unlabeled(self, graph: LabeledGraph, examples: ExampleSet) -> List[Node]:
         return sorted(
-            (node for node in graph.nodes() if node not in examples.labeled_nodes), key=str
+            (node for node in graph.nodes() if examples.label_of(node) is None), key=str
         )
 
     def __repr__(self) -> str:
@@ -189,10 +190,12 @@ class MostInformativePathsStrategy(Strategy):
         return (self.name, self.max_path_length)
 
     def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
-        ranked = self._informative(graph, examples)
-        if not ranked:
+        node = most_informative_node(
+            graph, examples, max_length=self.max_path_length, classifier=self._classifier
+        )
+        if node is None:
             raise NoCandidateNodeError("no informative node remains")
-        return ranked[0]
+        return node
 
 
 class DegreeStrategy(Strategy):

@@ -144,7 +144,7 @@ class _FixedOrderStrategy(Strategy):
     def propose(self, graph: LabeledGraph, examples) -> Node:
         while self._queue:
             node = self._queue.pop(0)
-            if node not in examples.labeled_nodes:
+            if examples.label_of(node) is None:
                 return node
         raise NoCandidateNodeError("transcript exhausted")
 

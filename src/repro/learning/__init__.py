@@ -16,6 +16,7 @@ from repro.learning.informativeness import (
     classify_all_scratch,
     classify_node,
     informative_nodes,
+    most_informative_node,
     pruned_nodes,
     pruning_fraction,
 )
@@ -24,7 +25,7 @@ from repro.learning.language_index import (
     LanguageIndex,
     PrefixIdArena,
 )
-from repro.learning.propagation import PropagationResult, propagate_labels, propagate_to_fixpoint
+from repro.learning.propagation import PropagationResult, propagate_to_fixpoint
 from repro.learning.learner import (
     DEFAULT_MAX_PATH_LENGTH,
     LearningOutcome,
@@ -56,13 +57,13 @@ __all__ = [
     "classify_all_scratch",
     "classify_node",
     "informative_nodes",
+    "most_informative_node",
     "pruned_nodes",
     "pruning_fraction",
     "CompatibilityOracle",
     "LanguageIndex",
     "PrefixIdArena",
     "PropagationResult",
-    "propagate_labels",
     "propagate_to_fixpoint",
     "DEFAULT_MAX_PATH_LENGTH",
     "LearningOutcome",

@@ -14,23 +14,21 @@ Propagated labels are recorded in the example set with ``propagated=True``
 so they never count as user interactions, and the pruning statistics of
 experiment E2 report them separately.
 
-Each pass classifies through :func:`repro.learning.informativeness.classify_all`,
-which is served by the shared incremental
-:class:`~repro.learning.informativeness.SessionClassifier`: the first
-fixpoint round after a user answer pays only that answer's delta, and
-every later round only the delta of the labels the previous round added.
+One pass reaches the fixpoint.  An implied negative's language already
+lies inside the negative cover, so labelling it covers no new word, and
+an implied positive brings no validated word; neither can imply another
+label.  The pass reads the implied nodes straight from the session's
+:class:`~repro.learning.informativeness.SessionClassifier` flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
-
-from typing import Optional
+from typing import FrozenSet, Optional
 
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.learning.examples import ExampleSet
-from repro.learning.informativeness import SessionClassifier, classify_all
+from repro.learning.informativeness import SessionClassifier, _resolve_classifier
 
 
 @dataclass(frozen=True)
@@ -46,52 +44,28 @@ class PropagationResult:
         return len(self.implied_positive) + len(self.implied_negative)
 
 
-def propagate_labels(
+def propagate_to_fixpoint(
     graph: LabeledGraph,
     examples: ExampleSet,
     *,
     max_length: int,
     classifier: Optional[SessionClassifier] = None,
 ) -> PropagationResult:
-    """Run one propagation pass, mutating ``examples`` in place.
+    """Label every implied node, mutating ``examples`` in place.
 
-    Returns the sets of nodes that received implied labels.  The pass is
-    idempotent: running it twice in a row adds nothing the second time.
+    Nodes are labelled in node-table order.  The pass reaches the
+    fixpoint, so running it twice in a row adds nothing the second time.
     A workspace-backed session passes its own ``classifier`` so the pass
-    reuses the session's status table instead of the module registry.
+    reuses the session's flags instead of the module registry.
     """
-    statuses = classify_all(graph, examples, max_length=max_length, classifier=classifier)
-    implied_positive = set()
-    implied_negative = set()
-    for node, status in statuses.items():
-        if status.labeled:
-            continue
-        if status.implied_positive:
+    implied = _resolve_classifier(graph, examples, max_length, classifier).implied_labels()
+    implied_positive = []
+    implied_negative = []
+    for node, positive in implied:
+        if positive:
             examples.add_positive(node, propagated=True)
-            implied_positive.add(node)
-        elif status.implied_negative:
+            implied_positive.append(node)
+        else:
             examples.add_negative(node, propagated=True)
-            implied_negative.add(node)
+            implied_negative.append(node)
     return PropagationResult(frozenset(implied_positive), frozenset(implied_negative))
-
-
-def propagate_to_fixpoint(
-    graph: LabeledGraph,
-    examples: ExampleSet,
-    *,
-    max_length: int,
-    max_rounds: int = 10,
-    classifier: Optional[SessionClassifier] = None,
-) -> Tuple[PropagationResult, ...]:
-    """Repeat propagation until nothing changes (or ``max_rounds`` is hit).
-
-    Adding implied negatives can cover new words, which can imply further
-    negatives; in practice the fixpoint is reached in one or two rounds.
-    """
-    rounds = []
-    for _ in range(max_rounds):
-        result = propagate_labels(graph, examples, max_length=max_length, classifier=classifier)
-        rounds.append(result)
-        if result.total == 0:
-            break
-    return tuple(rounds)

@@ -1,14 +1,14 @@
 """Unit tests for label propagation."""
 
 from repro.learning.examples import ExampleSet
-from repro.learning.propagation import propagate_labels, propagate_to_fixpoint
+from repro.learning.propagation import propagate_to_fixpoint
 
 
 class TestPropagateLabels:
     def test_implied_negative_propagated(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        result = propagate_labels(figure1_graph, examples, max_length=2)
+        result = propagate_to_fixpoint(figure1_graph, examples, max_length=2)
         # sinks (C1, C2, R1, R2) and N3 (all words covered by N6 at bound 2)
         assert "N3" in result.implied_negative
         assert "C1" in result.implied_negative
@@ -17,26 +17,26 @@ class TestPropagateLabels:
     def test_implied_positive_propagated(self, figure1_graph):
         examples = ExampleSet()
         examples.add_positive("N6", validated_word=("cinema",))
-        result = propagate_labels(figure1_graph, examples, max_length=3)
+        result = propagate_to_fixpoint(figure1_graph, examples, max_length=3)
         assert "N4" in result.implied_positive
         assert examples.label_of("N4") is True
 
     def test_propagated_labels_do_not_count_as_interactions(self, figure1_graph):
         examples = ExampleSet()
         examples.add_positive("N6", validated_word=("cinema",))
-        propagate_labels(figure1_graph, examples, max_length=3)
+        propagate_to_fixpoint(figure1_graph, examples, max_length=3)
         assert examples.interaction_count() == 1
 
     def test_idempotent(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        propagate_labels(figure1_graph, examples, max_length=2)
-        second = propagate_labels(figure1_graph, examples, max_length=2)
+        propagate_to_fixpoint(figure1_graph, examples, max_length=2)
+        second = propagate_to_fixpoint(figure1_graph, examples, max_length=2)
         assert second.total == 0
 
     def test_no_examples_prunes_only_sinks(self, figure1_graph):
         examples = ExampleSet()
-        result = propagate_labels(figure1_graph, examples, max_length=3)
+        result = propagate_to_fixpoint(figure1_graph, examples, max_length=3)
         assert result.implied_positive == frozenset()
         assert result.implied_negative == {"C1", "C2", "R1", "R2"}
 
@@ -44,7 +44,7 @@ class TestPropagateLabels:
         examples = ExampleSet()
         examples.add_positive("N6", validated_word=("cinema",))
         examples.add_negative("N5")
-        result = propagate_labels(figure1_graph, examples, max_length=3)
+        result = propagate_to_fixpoint(figure1_graph, examples, max_length=3)
         assert result.total == len(result.implied_positive) + len(result.implied_negative)
         assert result.total > 0
 
@@ -53,11 +53,11 @@ class TestPropagateToFixpoint:
     def test_reaches_fixpoint(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        rounds = propagate_to_fixpoint(figure1_graph, examples, max_length=2)
-        assert rounds[-1].total == 0
-        # a second fixpoint run adds nothing
-        more = propagate_to_fixpoint(figure1_graph, examples, max_length=2)
-        assert all(round_.total == 0 for round_ in more)
+        first = propagate_to_fixpoint(figure1_graph, examples, max_length=2)
+        assert first.implied_positive == frozenset()
+        assert first.implied_negative == {"N3", "N4", "N5", "C1", "C2", "R1", "R2"}
+        # one pass is the fixpoint: a second pass adds nothing
+        assert propagate_to_fixpoint(figure1_graph, examples, max_length=2).total == 0
 
     def test_cascading_negatives(self, small_transit_graph):
         # adding one negative may cover another node's whole language, which
@@ -69,8 +69,11 @@ class TestPropagateToFixpoint:
         # no node may be both positive and negative
         assert not (examples.positive_nodes & examples.negative_nodes)
 
-    def test_max_rounds_respected(self, figure1_graph):
+    def test_labels_in_node_table_order(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        rounds = propagate_to_fixpoint(figure1_graph, examples, max_length=2, max_rounds=1)
-        assert len(rounds) == 1
+        before = len(examples.history)
+        propagate_to_fixpoint(figure1_graph, examples, max_length=2)
+        added = [example.node for example in examples.history[before:]]
+        table = list(figure1_graph.nodes())
+        assert added == sorted(added, key=table.index)

@@ -24,6 +24,7 @@ from repro.devtools import LintConfig, lint_paths, lint_source
 from repro.experiments import ExperimentRunner, build_plan
 from repro.interactive.oracle import UnreliableUser
 from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
+from repro.learning.propagation import propagate_to_fixpoint
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -74,6 +75,7 @@ EXPECTED_PARAMETERS = [
     (STRATEGY_REGISTRY["degree"], {"max_path_length"}),
     (make_strategy, {"name", "seed", "max_path_length"}),
     (PathQueryLearner, {"graph", "max_path_length", "generalize", "engine", "workspace"}),
+    (propagate_to_fixpoint, {"graph", "examples", "max_length", "classifier"}),
     (SessionManager, {"workspace", "dedup", "max_concurrent", "supervision", "injector"}),
     (UnreliableUser, {"inner", "injector"}),
     (
