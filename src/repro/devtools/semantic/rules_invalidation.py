@@ -5,15 +5,15 @@ REP302 (syntactic) forces every version-snapshotting class to declare a
 against :data:`repro.serving.invalidation.WORKSPACE_HOOKS`.  Neither
 catches the third failure mode: a hook that is declared *and*
 registered but whose class is never actually reached from the
-workspace's refresh/invalidate paths — the cache exists, the paperwork
-is in order, and nobody ever refreshes it.  That is precisely the
+workspace's refresh path — the cache exists, the paperwork is in
+order, and nobody ever refreshes it.  That is precisely the
 silent-staleness bug the hook system was built to prevent, so this rule
 closes the loop over the call graph:
 
 * the hook string must be a key of a ``WORKSPACE_HOOKS`` literal
   somewhere in the linted tree, and
 * the declaring class must be reachable (method call or construction,
-  transitively) from the invalidation roots (:data:`ROOTS`).
+  transitively) from the refresh root (:data:`ROOTS`).
 
 The rule stands down when the linted tree contains no registry or none
 of the roots — linting a fixture package or a partial tree must not
@@ -31,7 +31,7 @@ from repro.devtools.semantic.callgraph import find_roots, reachable
 from repro.devtools.semantic.model import ProjectModel
 
 #: ``Class.method`` roots the reachability check starts from
-ROOTS = ("GraphWorkspace.refresh", "GraphWorkspace.invalidate")
+ROOTS = ("GraphWorkspace.refresh",)
 
 
 @semantic_rule("REP310", "REP300", "workspace hook declared but not driven")

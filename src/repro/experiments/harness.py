@@ -33,7 +33,6 @@ from repro.interactive.scenarios import (
 )
 from repro.interactive.session import InteractiveSession
 from repro.interactive.strategies import make_strategy
-from repro.learning.informativeness import pruned_nodes
 from repro.automata.state_merging import rpni
 from repro.query.rpq import PathQuery
 from repro.serving.workspace import GraphWorkspace, default_workspace
@@ -114,9 +113,10 @@ def e2_unit_rows(
 
     After each interaction the session propagates implied labels and
     prunes uninformative nodes; the *saved fraction* is the share of the
-    not-yet-user-labelled nodes whose label is already settled (either
-    propagated automatically or pruned as uninformative), i.e. questions
-    the user will never be asked.
+    not-yet-user-labelled nodes whose label is already settled, i.e.
+    questions the user will never be asked.  Every pruned node is
+    labelled by propagation in the same step, so the settled nodes are
+    exactly the propagated ones.
     """
     goal_query = _coerce_query(goal)
     workspace = default_workspace()
@@ -135,9 +135,7 @@ def e2_unit_rows(
         user_labeled = len(session.examples.user_positive_nodes) + len(
             session.examples.user_negative_nodes
         )
-        still_pruned = len(pruned_nodes(graph, session.examples, max_length=max_path_length))
         propagated = len(session.examples.labeled_nodes) - user_labeled
-        settled = propagated + still_pruned
         remaining_pool = max(node_count - user_labeled, 1)
         rows.append(
             {
@@ -146,7 +144,7 @@ def e2_unit_rows(
                 "interaction": record.index,
                 "user_labeled": user_labeled,
                 "propagated": propagated,
-                "saved_fraction": round(settled / remaining_pool, 3),
+                "saved_fraction": round(propagated / remaining_pool, 3),
                 "informative_remaining": record.informative_remaining,
             }
         )

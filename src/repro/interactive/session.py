@@ -39,6 +39,7 @@ from repro.interactive.halt import HaltCondition, HaltContext, default_halt_cond
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.strategies import MostInformativePathsStrategy, Strategy
 from repro.learning.examples import ExampleSet, Word
+from repro.learning.informativeness import SessionClassifier
 from repro.learning.learner import DEFAULT_MAX_PATH_LENGTH, PathQueryLearner
 from repro.learning.path_selection import candidate_prefix_tree
 from repro.learning.propagation import propagate_to_fixpoint
@@ -108,16 +109,17 @@ class InteractiveSession:
     """Drives the Figure 2 loop on one graph with one (simulated) user.
 
     Shared, read-mostly components — the query engine, language indexes,
-    the neighbourhood index, the informativeness classifier registry —
-    are drawn from a :class:`~repro.serving.workspace.GraphWorkspace`.
+    the neighbourhood index — are drawn from a
+    :class:`~repro.serving.workspace.GraphWorkspace`.
     Pass ``workspace=`` to make sharing explicit (a
     :class:`~repro.serving.manager.SessionManager` admits every session
     over its own workspace); without one the session uses the process
     default workspace, so single-session scripts share caches exactly as
     before.
 
-    Per-session state is only the :class:`ExampleSet`, the current
-    hypothesis and the interaction records.  To isolate a session (its
+    Per-session state is only the :class:`ExampleSet`, the informativeness
+    classifier over it, the current hypothesis and the interaction
+    records.  To isolate a session (its
     engine together with its language and neighbourhood indexes), pass
     ``workspace=GraphWorkspace()``; to use a particular engine, pass
     ``workspace=GraphWorkspace(engine=...)``.
@@ -158,14 +160,14 @@ class InteractiveSession:
         #: incremental informativeness classifier shared by the session,
         #: the proposal strategy, propagation and the halt check — one
         #: language index and one set of per-node flags for the whole
-        #: loop, updated from the labels each interaction adds (the
-        #: informativeness counterpart of threading one QueryEngine
-        #: everywhere)
-        self.classifier = workspace.classifier(
-            graph, self.examples, max_length=self.strategy.max_path_length
+        #: loop, updated from the labels each interaction adds; its index
+        #: (re)builds go through the workspace
+        self.classifier = SessionClassifier(
+            graph,
+            self.examples,
+            max_length=self.strategy.max_path_length,
+            index_provider=workspace.language_index,
         )
-        # strategies rank through the session's classifier (and therefore
-        # the workspace's language index) instead of the module registry
         self.strategy.use_classifier(self.classifier)
         self.learner = PathQueryLearner(
             graph, max_path_length=max_path_length, workspace=workspace

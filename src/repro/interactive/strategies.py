@@ -20,11 +20,11 @@ Implemented strategies:
   ("nodes having an important number of paths that are shorter than a
   fixed bound and not covered by any negative node").
 
-All informativeness lookups resolve to the shared incremental
-:class:`~repro.learning.informativeness.SessionClassifier` of the
-``(graph, examples, max_path_length)`` triple.  The most-informative
-strategy asks it for the top node alone, which it finds on a heap of
-stale scores; the other informative strategies get the full ranking.
+All informativeness lookups go through the session's incremental
+:class:`~repro.learning.informativeness.SessionClassifier`, threaded in
+with :meth:`Strategy.use_classifier`.  The most-informative strategy
+asks it for the top node alone, which it finds on a heap of stale
+scores; the other informative strategies get the full ranking.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class Strategy(ABC):
         self.max_path_length = max_path_length
         #: the session's incremental classifier (threaded via
         #: :meth:`use_classifier`); informativeness lookups go through it
-        #: so a workspace-backed session never touches module registries
         self._classifier: Optional[SessionClassifier] = None
 
     def use_classifier(self, classifier: SessionClassifier) -> None:
@@ -63,8 +62,8 @@ class Strategy(ABC):
 
         The classifier is only consulted when it tracks exactly the
         ``(graph, examples, max_path_length)`` triple being ranked, so
-        binding is always safe; mismatching calls fall back to the shared
-        registry.
+        binding is always safe; a mismatching call classifies with a
+        classifier built for that call.
         """
         self._classifier = classifier
 

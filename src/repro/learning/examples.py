@@ -11,9 +11,9 @@ An :class:`ExampleSet` records
   reflect genuine user effort.
 
 The set is mutable (the session enriches it) but exposes immutable views.
-Every mutation bumps :attr:`ExampleSet.revision`, and every label is
-appended to the history, so an incremental consumer can read only the
-labels added since it last looked (:meth:`ExampleSet.events_since`).
+Every mutation appends a label to the history, so an incremental
+consumer can keep a position in it and read only the labels added since
+it last looked (:meth:`ExampleSet.events_since`).
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class ExampleSet:
         self._propagated_positive: set = set()
         self._propagated_negative: set = set()
         self._history: list = []
-        #: bumped by every mutation.  It moves apart from ``len(history)``
-        #: only through :meth:`set_validated_word`, which replaces a word
-        #: without journaling it: a consumer that saw revision ``r`` and
-        #: history length ``h`` is behind by exactly the appended labels
-        #: when ``revision - r == len(history) - h``, and must rebuild
-        #: otherwise
-        self.revision = 0
 
     # ------------------------------------------------------------------
     # mutation
@@ -85,7 +78,6 @@ class ExampleSet:
             self._propagated_positive.discard(node)
         example = LabeledExample(node, True, word, propagated)
         self._history.append(example)
-        self.revision += 1
         return example
 
     def add_negative(self, node: Node, *, propagated: bool = False) -> LabeledExample:
@@ -101,18 +93,7 @@ class ExampleSet:
             self._propagated_negative.discard(node)
         example = LabeledExample(node, False, None, propagated)
         self._history.append(example)
-        self.revision += 1
         return example
-
-    def set_validated_word(self, node: Node, word: Iterable[str]) -> None:
-        """Attach (or replace) the validated word of an existing positive node."""
-        if node not in self._positive:
-            raise InconsistentExamplesError(
-                f"cannot validate a path for {node!r}: it is not a positive example",
-                conflicting=[node],
-            )
-        self._positive[node] = tuple(word)
-        self.revision += 1
 
     # ------------------------------------------------------------------
     # inspection
@@ -183,7 +164,6 @@ class ExampleSet:
         clone._propagated_positive = set(self._propagated_positive)
         clone._propagated_negative = set(self._propagated_negative)
         clone._history = list(self._history)
-        clone.revision = self.revision
         return clone
 
     def __repr__(self) -> str:

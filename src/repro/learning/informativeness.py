@@ -22,11 +22,13 @@ words the node has (nodes with many uncovered short paths constrain the
 learner the most).
 
 The from-scratch path (:func:`classify_node`, :func:`classify_all_scratch`)
-re-derives every word set per call.  It is the readable reference and the
-oracle the session path is tested against.
+re-derives every word set per call with :func:`~repro.graph.paths.words_from`
+and shares no structure with the session path.  It is the readable
+reference and the oracle the session path is tested against.
 
-The session path is :class:`SessionClassifier`, served through
-:func:`classify_all`, :func:`informative_nodes`,
+The session path is :class:`SessionClassifier`, which each
+:class:`~repro.interactive.session.InteractiveSession` builds and owns,
+served through :func:`classify_all`, :func:`informative_nodes`,
 :func:`most_informative_node` and :func:`pruned_nodes`.  It rests on two
 facts about a session: the example set only grows, and so a node's score
 never improves and an uninformative node never becomes informative again.
@@ -38,32 +40,19 @@ node on a heap of stale scores, rescoring only the nodes it pops.
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
-from repro.exceptions import NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.graph.paths import words_from
 from repro.learning.examples import ExampleSet, LabeledExample, Word
 from repro.learning.language_index import (
     LanguageIndex,
+    _workspace_index,
     iter_bits,
     popcount,
 )
-from repro.learning.path_selection import covered_words
-
-
-def _workspace_language_index(graph: LabeledGraph, max_length: int) -> LanguageIndex:
-    """Default index provider: the process workspace's build-once index.
-
-    Imported lazily because :mod:`repro.serving.workspace` imports this
-    module (the classifier is one of the structures it hosts).
-    """
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().language_index(graph, max_length)
 
 
 @dataclass(frozen=True)
@@ -114,7 +103,7 @@ def classify_node(
     nodes against the same example set.
     """
     if banned is None:
-        banned = covered_words(graph, examples.negative_nodes, max_length)
+        banned = _scratch_cover(graph, examples, max_length)
     if validated is None:
         validated = set(examples.validated_words().values())
 
@@ -134,27 +123,33 @@ def classify_node(
     )
 
 
+def _scratch_cover(graph: LabeledGraph, examples: ExampleSet, max_length: int) -> Set[Word]:
+    """The words of every negative, walked from the graph (unknown negatives raise)."""
+    banned: Set[Word] = set()
+    for node in examples.negative_nodes:
+        banned |= words_from(graph, node, max_length)
+    return banned
+
+
 def classify_all_scratch(
     graph: LabeledGraph,
     examples: ExampleSet,
     *,
     max_length: int,
-    candidates: Optional[Iterable[Node]] = None,
 ) -> Dict[Node, NodeStatus]:
-    """Classify every node (or just ``candidates``) by full recomputation.
+    """Classify every node by full recomputation.
 
     This is the pre-index reference implementation; it is kept as the
     oracle that :class:`SessionClassifier` is verified against (and as
     the baseline of ``benchmarks/bench_session_loop.py``).
     """
-    banned = covered_words(graph, examples.negative_nodes, max_length)
+    banned = _scratch_cover(graph, examples, max_length)
     validated = set(examples.validated_words().values())
-    pool = candidates if candidates is not None else graph.nodes()
     return {
         node: classify_node(
             graph, node, examples, max_length=max_length, banned=banned, validated=validated
         )
-        for node in pool
+        for node in graph.nodes()
     }
 
 
@@ -177,16 +172,15 @@ class SessionClassifier:
     over the shared :class:`~repro.learning.language_index.LanguageIndex`,
     plus two bitsets over node positions: the labelled nodes and the
     informative ones.  Every public accessor first calls :meth:`refresh`,
-    which works like a cursor over the example set:
+    which keeps a position in the example set's history as its cursor:
 
-    * when :attr:`ExampleSet.revision` has not moved, it returns at once;
-    * when the revision moved by exactly the number of labels appended to
-      the history, it reads only those labels.  A label clears its node's
-      informative bit, a new validated word clears its spellers' bits,
-      and a grown cover clears the informative spellers of the new words
-      whose whole language now lies inside the cover;
-    * anything else — a replaced validated word, a new graph version —
-      rebuilds from the example set.
+    * when no label was appended since, it returns at once;
+    * otherwise it reads only the appended labels.  A label clears its
+      node's informative bit, a new validated word clears its spellers'
+      bits, and a grown cover clears the informative spellers of the new
+      words whose whole language now lies inside the cover;
+    * a positive re-added with another validated word, or a new graph
+      version, rebuilds from the example set.
 
     Scores are never stored.  Because the cover only grows, a node's
     score ``(uncovered word count, shortest uncovered length)`` never
@@ -209,26 +203,13 @@ class SessionClassifier:
         index_provider=None,
     ):
         self.graph = graph
-        # held weakly: the shared-classifier registry keys on the example
-        # set, so a strong reference here would pin the key (and with it
-        # the classifier, the graph and its language index) forever
-        self._examples_ref = weakref.ref(examples)
+        self.examples = examples
         self.max_length = max_length
-        #: ``(graph, max_length) -> LanguageIndex`` — a GraphWorkspace
-        #: threads its own accessor here so index (re)builds go through
-        #: the workspace's build-once locks and accounting
-        self._index_provider = (
-            index_provider if index_provider is not None else _workspace_language_index
-        )
+        #: ``(graph, max_length) -> LanguageIndex`` — a session threads its
+        #: workspace's accessor here so index (re)builds go through the
+        #: workspace's build-once locks and accounting
+        self._index_provider = index_provider if index_provider is not None else _workspace_index
         self._rebuild()
-
-    @property
-    def examples(self) -> ExampleSet:
-        """The example set this classifier tracks."""
-        examples = self._examples_ref()
-        if examples is None:
-            raise RuntimeError("the classified ExampleSet has been garbage-collected")
-        return examples
 
     @property
     def index(self) -> LanguageIndex:
@@ -256,7 +237,6 @@ class SessionClassifier:
             if language & uncovered_mask and not language & validated_bits:
                 informative |= 1 << position
         self._index: LanguageIndex = index
-        self._revision = examples.revision
         self._position = len(examples.history)
         self._cover = cover
         self._validated = validated
@@ -273,15 +253,12 @@ class SessionClassifier:
         if self._index.version != self.graph.version:
             self._rebuild()
             return
-        examples = self.examples
-        revision = examples.revision
-        if revision == self._revision:
+        events = self.examples.events_since(self._position)
+        if not events:
             return
-        events = examples.events_since(self._position)
-        if revision - self._revision != len(events) or not self._apply(events):
+        if not self._apply(events):
             self._rebuild()
             return
-        self._revision = revision
         self._position += len(events)
 
     def _apply(self, events: Sequence[LabeledExample]) -> bool:
@@ -435,29 +412,21 @@ class SessionClassifier:
         )
 
 
-def _workspace_classifier(
-    graph: LabeledGraph, examples: ExampleSet, *, max_length: int
-) -> SessionClassifier:
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().classifier(graph, examples, max_length=max_length)
-
-
 def _resolve_classifier(
     graph: LabeledGraph,
     examples: ExampleSet,
     max_length: int,
     classifier: Optional[SessionClassifier],
 ) -> SessionClassifier:
-    """Use ``classifier`` when it tracks exactly this triple, else the registry."""
+    """``classifier`` when it tracks exactly this triple, else a throwaway one."""
     if (
         classifier is not None
         and classifier.graph is graph
         and classifier.max_length == max_length
-        and classifier._examples_ref() is examples
+        and classifier.examples is examples
     ):
         return classifier
-    return _workspace_classifier(graph, examples, max_length=max_length)
+    return SessionClassifier(graph, examples, max_length=max_length)
 
 
 def classify_all(
@@ -465,27 +434,16 @@ def classify_all(
     examples: ExampleSet,
     *,
     max_length: int,
-    candidates: Optional[Iterable[Node]] = None,
     classifier: Optional[SessionClassifier] = None,
 ) -> Dict[Node, NodeStatus]:
-    """Classify every node (or just ``candidates``) against the examples.
+    """Classify every node against the examples.
 
-    Served from the shared :class:`SessionClassifier` of
-    ``(graph, examples, max_length)``, which builds the statuses on
-    request.  Results are identical to :func:`classify_all_scratch`.
-    Callers holding the session's classifier (a workspace-backed loop)
-    pass it via ``classifier`` so no module-level registry is consulted.
+    Served from ``classifier`` when it tracks ``(graph, examples,
+    max_length)`` — a session passes its own — and otherwise from a
+    :class:`SessionClassifier` built for this call.  Results are
+    identical to :func:`classify_all_scratch`.
     """
-    statuses = _resolve_classifier(graph, examples, max_length, classifier).statuses()
-    if candidates is None:
-        return statuses
-    restricted: Dict[Node, NodeStatus] = {}
-    for node in candidates:
-        status = statuses.get(node)
-        if status is None:
-            raise NodeNotFoundError(node)
-        restricted[node] = status
-    return restricted
+    return _resolve_classifier(graph, examples, max_length, classifier).statuses()
 
 
 def informative_nodes(
@@ -493,19 +451,13 @@ def informative_nodes(
     examples: ExampleSet,
     *,
     max_length: int,
-    candidates: Optional[Iterable[Node]] = None,
     classifier: Optional[SessionClassifier] = None,
 ) -> List[Node]:
     """The informative nodes, sorted by decreasing informativeness score.
 
     Ties are broken by node identifier so the ordering is deterministic.
     """
-    if candidates is None:
-        return _resolve_classifier(graph, examples, max_length, classifier).informative()
-    statuses = classify_all(
-        graph, examples, max_length=max_length, candidates=candidates, classifier=classifier
-    )
-    return _ranked_informative(statuses.values())
+    return _resolve_classifier(graph, examples, max_length, classifier).informative()
 
 
 def most_informative_node(
@@ -530,7 +482,7 @@ def pruned_nodes(
     The size of this set after each interaction is the quantity tracked by
     experiment E2 (pruning effectiveness).
     """
-    classifier = _resolve_classifier(graph, examples, max_length, None)
+    classifier = SessionClassifier(graph, examples, max_length=max_length)
     return frozenset(node for node, _positive in classifier.implied_labels())
 
 

@@ -172,7 +172,7 @@ class LanguageIndex:
         "_length_masks",
     )
 
-    #: delta-refreshed (or dropped) by GraphWorkspace.refresh()/invalidate()
+    #: delta-refreshed (or dropped) by GraphWorkspace.refresh()
     __workspace_hook__ = "workspace.language_index"
 
     def __init__(self, graph: LabeledGraph, max_length: int):
@@ -574,9 +574,24 @@ def _affected_nodes(
 
 
 def _workspace_index(graph: LabeledGraph, max_length: int) -> LanguageIndex:
+    """The default workspace's build-once index of ``graph`` at ``max_length``."""
+    # lazy: the workspace's import closure includes this module
     from repro.serving.workspace import default_workspace
 
     return default_workspace().language_index(graph, max_length)
+
+
+def _resolve_index(
+    graph: LabeledGraph, max_length: int, index: Optional[LanguageIndex]
+) -> LanguageIndex:
+    """The caller's ``index`` when it matches this snapshot and bound, else the default one.
+
+    Workspace-backed callers (the learner, the session loop) pass their
+    workspace's index; index-less calls use the default workspace's.
+    """
+    if index is not None and index.version == graph.version and index.max_length == max_length:
+        return index
+    return _workspace_index(graph, max_length)
 
 
 # ----------------------------------------------------------------------
@@ -625,11 +640,7 @@ class CompatibilityOracle:
         self.graph = graph
         self.negatives: Tuple[Node, ...] = tuple(sorted(negatives, key=str))
         self.max_length = max_length
-        # callers holding a GraphWorkspace pass its index; the shim keeps
-        # index-less construction working for legacy call sites
-        if index is None or index.version != graph.version or index.max_length != max_length:
-            index = _workspace_index(graph, max_length)
-        self.index = index
+        self.index = _resolve_index(graph, max_length, index)
         self.cover_bits = self.index.cover(self.negatives)
 
     def compatible(self, dfa: DFA) -> bool:

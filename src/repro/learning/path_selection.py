@@ -21,30 +21,9 @@ from repro.automata.prefix_tree import PathPrefixTree, build_path_prefix_tree
 from repro.exceptions import NoConsistentPathError, NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.graph.paths import has_word
-from repro.learning.language_index import LanguageIndex
+from repro.learning.language_index import LanguageIndex, _resolve_index
 
 Word = Tuple[str, ...]
-
-
-def _resolve_index(
-    graph: LabeledGraph, max_length: int, index: Optional[LanguageIndex]
-) -> LanguageIndex:
-    """Use the caller's ``index`` when it matches this snapshot, else the shared one.
-
-    Workspace-backed callers (the learner, the session loop) pass their
-    workspace's index so these helpers never touch the module registry;
-    index-less calls keep the legacy behaviour.
-    """
-    if (
-        index is not None
-        and index.version == graph.version
-        and index.max_length == max_length
-    ):
-        return index
-    # lazy: the workspace's import closure includes this module
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().language_index(graph, max_length)
 
 
 def covered_words(

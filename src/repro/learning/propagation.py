@@ -55,8 +55,9 @@ def propagate_to_fixpoint(
 
     Nodes are labelled in node-table order.  The pass reaches the
     fixpoint, so running it twice in a row adds nothing the second time.
-    A workspace-backed session passes its own ``classifier`` so the pass
-    reuses the session's flags instead of the module registry.
+    A session passes its own ``classifier`` so the pass reuses the
+    session's flags; without one the pass builds a classifier for this
+    call.
     """
     implied = _resolve_classifier(graph, examples, max_length, classifier).implied_labels()
     implied_positive = []

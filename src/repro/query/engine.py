@@ -181,7 +181,7 @@ class _GraphCache:
     __slots__ = ("version", "answers", "meta")
 
     #: upgraded/dropped through QueryEngine.refresh(), which
-    #: GraphWorkspace.refresh()/invalidate() drive per graph.
+    #: GraphWorkspace.refresh() drives per graph.
     __workspace_hook__ = "engine.answers"
 
     def __init__(self, version: int):
@@ -390,17 +390,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
-    def invalidate(self, graph: Optional[LabeledGraph] = None) -> None:
-        """Drop cached answers (for ``graph``, or everywhere when ``None``).
-
-        Normally unnecessary — version bumps invalidate automatically —
-        but useful to bound memory in long-running processes.
-        """
-        if graph is None:
-            self._answer_caches.clear()
-        else:
-            self._answer_caches.pop(graph, None)
-
     def refresh(self, graph: Optional[LabeledGraph] = None) -> Dict[str, int]:
         """Delta-upgrade stale answer caches instead of waiting for a miss.
 

@@ -3,7 +3,7 @@
 Every structure that snapshots a graph version (``self.version =
 graph.version`` and friends) is a version-keyed cache, and the
 delta-journal architecture requires each one to be reachable by exactly
-one invalidation/refresh path — otherwise a mutation could leave it
+one refresh path — otherwise a mutation could leave it
 serving stale state with nobody responsible for noticing.  Such classes
 declare which path owns them via a ``__workspace_hook__`` class
 attribute naming an entry of :data:`WORKSPACE_HOOKS`; the ``repro
@@ -33,8 +33,8 @@ WORKSPACE_HOOKS: Dict[str, str] = {
     ),
     # _GraphCache: the engine's per-graph answer cache; QueryEngine.refresh()
     # upgrades it (alphabet-disjoint answers retained), QueryEngine
-    # access paths upgrade lazily, GraphWorkspace.refresh()/invalidate()
-    # drive it per graph.
+    # access paths upgrade lazily, GraphWorkspace.refresh() drives it per
+    # graph.
     "engine.answers": (
         "QueryEngine.refresh() / _graph_cache() — retains answers whose "
         "plan alphabet is disjoint from every touched label"

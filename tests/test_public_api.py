@@ -24,6 +24,7 @@ from repro.devtools import LintConfig, lint_paths, lint_source
 from repro.experiments import ExperimentRunner, build_plan
 from repro.interactive.oracle import UnreliableUser
 from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
+from repro.learning.informativeness import SessionClassifier, classify_all, informative_nodes
 from repro.learning.propagation import propagate_to_fixpoint
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -76,6 +77,9 @@ EXPECTED_PARAMETERS = [
     (make_strategy, {"name", "seed", "max_path_length"}),
     (PathQueryLearner, {"graph", "max_path_length", "generalize", "engine", "workspace"}),
     (propagate_to_fixpoint, {"graph", "examples", "max_length", "classifier"}),
+    (SessionClassifier, {"graph", "examples", "max_length", "index_provider"}),
+    (classify_all, {"graph", "examples", "max_length", "classifier"}),
+    (informative_nodes, {"graph", "examples", "max_length", "classifier"}),
     (SessionManager, {"workspace", "dedup", "max_concurrent", "supervision", "injector"}),
     (UnreliableUser, {"inner", "injector"}),
     (
