@@ -49,7 +49,7 @@ from repro.interactive.oracle import NoisyUser, SimulatedUser
 from repro.reliability import FaultInjector, FaultPlan, RetryPolicy, SupervisionPolicy
 from repro.serving import GraphWorkspace, SessionHandle, SessionManager, default_workspace
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 #: The supported public surface.  The 1.2 deprecated shims
 #: (``shared_engine``, ``evaluate``) are gone: hold a

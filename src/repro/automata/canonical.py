@@ -63,10 +63,10 @@ def structural_fingerprint(dfa: DFA) -> str:
 class CanonicalFormCache:
     """Bounded LRU cache of ``fingerprint -> (minimal DFA, expression)``."""
 
-    def __init__(self, max_entries: int = 256):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
+    #: retained canonical forms (least recently used evicted)
+    MAX_ENTRIES = 256
+
+    def __init__(self):
         self._entries: "OrderedDict[str, Tuple[DFA, Regex]]" = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -87,7 +87,7 @@ class CanonicalFormCache:
         self._misses += 1
         minimal = minimize(dfa)
         expression = dfa_to_regex(minimal)
-        if len(self._entries) >= self._max_entries:
+        if len(self._entries) >= self.MAX_ENTRIES:
             self._entries.popitem(last=False)
         self._entries[fingerprint] = (minimal, expression)
         return minimal, expression

@@ -16,9 +16,10 @@ whole:
 * a cached BFS layer stack survives when no member of
   :attr:`GraphDelta.touched_nodes` appears in its distance map.
 
-Deltas are value objects: once recorded they are never mutated.  A batch
+Deltas are value objects: once recorded they are never mutated.  A step
 too large to be worth replaying (a generator-scale bulk insert) is
-recorded as an *opaque* delta — :meth:`LabeledGraph.deltas_since
+journaled as an *opaque* delta, which exists only in the journal —
+:meth:`LabeledGraph.deltas_since
 <repro.graph.labeled_graph.LabeledGraph.deltas_since>` refuses to bridge
 across one, and every consumer falls back to the whole-drop rebuild the
 pre-journal code always performed.
@@ -40,9 +41,9 @@ class GraphDelta:
 
     ``old_version`` → ``new_version`` is always a single bump
     (``new_version == old_version + 1``); a journal is a contiguous chain
-    of these.  ``opaque`` marks a step whose contents were too large to
-    record — its edge/node tuples are empty and consumers must treat the
-    whole graph as touched.
+    of these.  ``opaque`` marks a journal record whose step was too large
+    to record — its edge/node tuples are empty and consumers must treat
+    the whole graph as touched.  Mutators always return the exact delta.
     """
 
     __slots__ = (

@@ -46,11 +46,13 @@ class LabeledGraph:
 
     Alongside the counter the graph keeps a bounded **delta journal**: a
     :class:`~repro.graph.delta.GraphDelta` per version step recording the
-    edges/nodes the step added and removed.  :meth:`deltas_since` replays
-    the journal so caches can invalidate *only* what a delta can reach —
-    see :meth:`repro.serving.workspace.GraphWorkspace.refresh`.  The
-    journal holds the last ``journal_limit`` steps (``0`` disables it);
-    batches larger than ``journal_edge_limit`` are recorded opaquely —
+    edges/nodes the step added and removed.  Every mutator is at most one
+    version step, written by the one private write path :meth:`_apply`.
+    :meth:`deltas_since` replays the journal so caches can invalidate
+    *only* what a delta can reach — see
+    :meth:`repro.serving.workspace.GraphWorkspace.refresh`.  The journal
+    holds the last ``journal_limit`` steps (``0`` disables it); a step of
+    more than :attr:`JOURNAL_EDGE_LIMIT` elements is recorded opaquely —
     both cases make :meth:`deltas_since` return ``None`` and consumers
     fall back to whole-drop rebuilds, so the journal is purely an
     optimisation, never a correctness requirement.
@@ -58,7 +60,8 @@ class LabeledGraph:
 
     #: journal window: how many version steps :meth:`deltas_since` can bridge
     JOURNAL_LIMIT = 32
-    #: per-delta size cap: larger batches are recorded opaquely
+    #: per-step size cap (edges and nodes, added and removed): larger
+    #: steps are journaled opaquely
     JOURNAL_EDGE_LIMIT = 4096
 
     __slots__ = (
@@ -70,18 +73,11 @@ class LabeledGraph:
         "_version",
         "_label_index",
         "_journal",
-        "_journal_edge_limit",
         "name",
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        name: str = "graph",
-        *,
-        journal_limit: Optional[int] = None,
-        journal_edge_limit: Optional[int] = None,
-    ):
+    def __init__(self, name: str = "graph", *, journal_limit: Optional[int] = None):
         #: forward adjacency: node -> label -> set of successors
         self._succ: Dict[Node, Dict[Label, Set[Node]]] = {}
         #: backward adjacency: node -> label -> set of predecessors
@@ -93,9 +89,6 @@ class LabeledGraph:
         self._label_index: Optional["GraphLabelIndex"] = None
         limit = self.JOURNAL_LIMIT if journal_limit is None else max(0, int(journal_limit))
         self._journal: Deque[GraphDelta] = deque(maxlen=limit)
-        self._journal_edge_limit = (
-            self.JOURNAL_EDGE_LIMIT if journal_edge_limit is None else max(0, int(journal_edge_limit))
-        )
         self.name = name
 
     @property
@@ -117,50 +110,12 @@ class LabeledGraph:
         """How many version steps the journal retains (0 = disabled)."""
         return self._journal.maxlen or 0
 
-    @property
-    def journal_edge_limit(self) -> int:
-        """Per-delta element cap; larger batches are recorded opaquely."""
-        return self._journal_edge_limit
-
-    def _record_delta(
-        self,
-        old_version: int,
-        *,
-        edges_added: Tuple[Edge, ...] = (),
-        edges_removed: Tuple[Edge, ...] = (),
-        nodes_added: Tuple[Node, ...] = (),
-        nodes_removed: Tuple[Node, ...] = (),
-        opaque: bool = False,
-    ) -> GraphDelta:
-        """Append one journal record for the bump ``old_version`` → now."""
-        if not opaque:
-            size = (
-                len(edges_added)
-                + len(edges_removed)
-                + len(nodes_added)
-                + len(nodes_removed)
-            )
-            opaque = size > self._journal_edge_limit
-        if opaque:
-            delta = GraphDelta(old_version, self._version, opaque=True)
-        else:
-            delta = GraphDelta(
-                old_version,
-                self._version,
-                edges_added=edges_added,
-                edges_removed=edges_removed,
-                nodes_added=nodes_added,
-                nodes_removed=nodes_removed,
-            )
-        self._journal.append(delta)
-        return delta
-
     def deltas_since(self, version: int) -> Optional[Tuple[GraphDelta, ...]]:
         """The contiguous delta chain from ``version`` to :attr:`version`.
 
         Returns ``()`` when ``version`` is already current, and ``None``
         when the journal cannot bridge the gap — the window was exceeded,
-        the journal is disabled, an oversized batch in the range was
+        the journal is disabled, an oversized step in the range was
         recorded opaquely, or ``version`` never belonged to this graph.
         A ``None`` answer is the consumer's cue to fall back to a
         whole-drop rebuild.
@@ -183,122 +138,80 @@ class LabeledGraph:
         return tuple(collected)
 
     # ------------------------------------------------------------------
-    # construction
+    # mutation: every mutator is one call into _apply
     # ------------------------------------------------------------------
-    def add_node(self, node: Node, *, strict: bool = False, **attrs) -> Node:
-        """Add ``node`` to the graph and return it.
+    def _apply(
+        self,
+        *,
+        add_edges: Iterable[Edge] = (),
+        remove_edges: Iterable[Edge] = (),
+        add_nodes: Iterable[Node] = (),
+        remove_nodes: Iterable[Node] = (),
+    ) -> GraphDelta:
+        """The one write path: change the adjacency as **one** version step.
 
-        Adding an existing node is a no-op (its attributes are updated)
-        unless ``strict`` is true, in which case :class:`DuplicateNodeError`
-        is raised.
-        """
-        if node in self._succ:
-            if strict:
-                raise DuplicateNodeError(node)
-            if attrs:
-                self._node_attrs.setdefault(node, {}).update(attrs)
-            return node
-        self._succ[node] = {}
-        self._pred[node] = {}
-        old_version = self._version
-        self._version += 1
-        self._record_delta(old_version, nodes_added=(node,))
-        if attrs:
-            self._node_attrs[node] = dict(attrs)
-        return node
-
-    def add_nodes(self, nodes: Iterable[Node]) -> None:
-        """Add every node of ``nodes`` (existing nodes are left untouched)."""
-        for node in nodes:
-            self.add_node(node)
-
-    def add_edge(self, source: Node, label: Label, target: Node) -> Edge:
-        """Add the edge ``source -[label]-> target`` and return the triple.
-
-        Missing endpoints are created automatically.  Re-adding an existing
-        edge is a no-op.
-        """
-        self.add_node(source)
-        self.add_node(target)
-        targets = self._succ[source].setdefault(label, set())
-        if target in targets:
-            return (source, label, target)
-        targets.add(target)
-        self._pred[target].setdefault(label, set()).add(source)
-        self._labels[label] = self._labels.get(label, 0) + 1
-        self._edge_count += 1
-        old_version = self._version
-        self._version += 1
-        self._record_delta(old_version, edges_added=((source, label, target),))
-        return (source, label, target)
-
-    def add_edges(self, edges: Iterable[Edge]) -> None:
-        """Add every ``(source, label, target)`` triple of ``edges``."""
-        self.add_edges_bulk(edges)
-
-    def add_edges_bulk(self, edges: Iterable[Edge], *, nodes: Iterable[Node] = ()) -> int:
-        """Add many edges (and optionally isolated ``nodes``) in one pass.
-
-        This is the construction hot path used by every synthetic
-        generator: it writes the ``_succ`` / ``_pred`` / ``_labels``
-        indexes directly, dedupes against existing edges, and bumps
-        :attr:`version` **once** for the whole batch instead of once per
-        element, so derived caches (label index, query answers,
-        neighbourhood layers) are invalidated a single time.
-
-        Returns the number of edges that were actually new.
+        Only this method bumps :attr:`version` and appends to the journal;
+        :meth:`apply_delta` documents the semantics.  The other mutators
+        call it directly, never through :meth:`apply_delta`: the perf
+        tracer wraps ``apply_delta`` as layer
+        ``graph.labeled_graph.apply_delta``, and building the Figure 1
+        graph with ``add_node`` / ``add_edge`` under the tracer must show
+        session layers only (``benchmarks/perf/test_tracer.py``).
         """
         succ = self._succ
         pred = self._pred
-        collect = self._journal.maxlen != 0
-        new_nodes: Optional[List[Node]] = [] if collect else None
-        changed = False
-        for node in nodes:
+        edges_removed = self._remove_edge_batch(remove_edges)
+        nodes_removed: List[Node] = []
+        for node in remove_nodes:
+            if node not in succ:
+                continue
+            edges_removed.extend(self._remove_edge_batch(self._incident_edges(node)))
+            del succ[node]
+            del pred[node]
+            self._node_attrs.pop(node, None)
+            nodes_removed.append(node)
+        nodes_added: List[Node] = []
+        for node in add_nodes:
             if node not in succ:
                 succ[node] = {}
                 pred[node] = {}
-                changed = True
-                if new_nodes is not None:
-                    new_nodes.append(node)
-        added, new_edges, created = self._add_edge_batch(edges, collect)
-        if added or changed:
-            old_version = self._version
-            self._version += 1
-            if collect:
-                if created:
-                    new_nodes.extend(created)
-                self._record_delta(
-                    old_version,
-                    edges_added=tuple(new_edges) if new_edges is not None else (),
-                    nodes_added=tuple(new_nodes),
-                    opaque=new_edges is None,
-                )
-        return added
+                nodes_added.append(node)
+        edges_added = self._add_edge_batch(add_edges, nodes_added)
+        old_version = self._version
+        size = len(edges_added) + len(edges_removed) + len(nodes_added) + len(nodes_removed)
+        if not size:
+            return GraphDelta(old_version, old_version)
+        self._version += 1
+        delta = GraphDelta(
+            old_version,
+            self._version,
+            edges_added=edges_added,
+            edges_removed=edges_removed,
+            nodes_added=nodes_added,
+            nodes_removed=nodes_removed,
+        )
+        if size > self.JOURNAL_EDGE_LIMIT:
+            self._journal.append(GraphDelta(old_version, self._version, opaque=True))
+        else:
+            self._journal.append(delta)
+        return delta
 
-    def _add_edge_batch(
-        self, edges: Iterable[Edge], collect: bool
-    ) -> Tuple[int, Optional[List[Edge]], List[Node]]:
-        """Insert edges without bumping :attr:`version` (journal-aware core).
+    def _add_edge_batch(self, edges: Iterable[Edge], created: List[Node]) -> List[Edge]:
+        """Insert ``edges`` without bumping :attr:`version`.
 
-        Returns ``(added, new_edges, new_nodes)``; ``new_edges`` is
-        ``None`` either when ``collect`` is false or when the batch
-        overflowed :attr:`journal_edge_limit` (the caller then records an
-        opaque delta).  ``new_nodes`` lists endpoints created implicitly.
+        Returns the edges that were new, in order; endpoints created on
+        the way are appended to ``created``.
         """
         succ = self._succ
         pred = self._pred
         labels = self._labels
-        limit = self._journal_edge_limit
-        added = 0
-        new_edges: Optional[List[Edge]] = [] if collect else None
-        new_nodes: List[Node] = []
+        added: List[Edge] = []
         for source, label, target in edges:
             by_label = succ.get(source)
             if by_label is None:
                 by_label = succ[source] = {}
                 pred[source] = {}
-                if collect:
-                    new_nodes.append(source)
+                created.append(source)
             targets = by_label.get(label)
             if targets is None:
                 targets = by_label[label] = set()
@@ -308,8 +221,7 @@ class LabeledGraph:
             if target not in succ:
                 succ[target] = {}
                 pred[target] = {}
-                if collect:
-                    new_nodes.append(target)
+                created.append(target)
             by_label_pred = pred[target]
             sources = by_label_pred.get(label)
             if sources is None:
@@ -317,75 +229,20 @@ class LabeledGraph:
             else:
                 sources.add(source)
             labels[label] = labels.get(label, 0) + 1
-            added += 1
-            if new_edges is not None:
-                if added > limit:
-                    new_edges = None  # oversized batch: record opaquely
-                else:
-                    new_edges.append((source, label, target))
-        if added:
-            self._edge_count += added
-        return added, new_edges, new_nodes
+            added.append((source, label, target))
+        self._edge_count += len(added)
+        return added
 
-    def remove_edge(self, source: Node, label: Label, target: Node) -> None:
-        """Remove an edge; raise :class:`EdgeNotFoundError` if absent."""
-        try:
-            targets = self._succ[source][label]
-            targets.remove(target)
-        except KeyError:
-            raise EdgeNotFoundError(source, label, target) from None
-        if not targets:
-            del self._succ[source][label]
-        sources = self._pred[target][label]
-        sources.remove(source)
-        if not sources:
-            del self._pred[target][label]
-        self._labels[label] -= 1
-        if self._labels[label] == 0:
-            del self._labels[label]
-        self._edge_count -= 1
-        old_version = self._version
-        self._version += 1
-        self._record_delta(old_version, edges_removed=((source, label, target),))
+    def _remove_edge_batch(self, edges: Iterable[Edge]) -> List[Edge]:
+        """Remove ``edges`` without bumping :attr:`version`.
 
-    def remove_edges_bulk(self, edges: Iterable[Edge]) -> int:
-        """Remove many edges in one pass — the mirror of :meth:`add_edges_bulk`.
-
-        Edges not present (and duplicates within ``edges``) are skipped
-        silently; :attr:`version` is bumped **once** for the whole batch
-        when anything was removed, so derived caches are invalidated a
-        single time instead of once per edge.
-
-        Returns the number of edges that were actually removed.
-        """
-        collect = self._journal.maxlen != 0
-        removed, gone = self._remove_edge_batch(edges, collect)
-        if removed:
-            old_version = self._version
-            self._version += 1
-            if collect:
-                self._record_delta(
-                    old_version,
-                    edges_removed=tuple(gone) if gone is not None else (),
-                    opaque=gone is None,
-                )
-        return removed
-
-    def _remove_edge_batch(
-        self, edges: Iterable[Edge], collect: bool
-    ) -> Tuple[int, Optional[List[Edge]]]:
-        """Remove edges without bumping :attr:`version` (journal-aware core).
-
-        Returns ``(removed, gone)``; ``gone`` is ``None`` either when
-        ``collect`` is false or when the batch overflowed
-        :attr:`journal_edge_limit` (opaque delta).
+        Returns the edges that were present, in order; absent edges (and
+        duplicates within ``edges``) are skipped.
         """
         succ = self._succ
         pred = self._pred
         labels = self._labels
-        limit = self._journal_edge_limit
-        removed = 0
-        gone: Optional[List[Edge]] = [] if collect else None
+        removed: List[Edge] = []
         for source, label, target in edges:
             by_label = succ.get(source)
             if by_label is None:
@@ -403,15 +260,9 @@ class LabeledGraph:
             labels[label] -= 1
             if labels[label] == 0:
                 del labels[label]
-            removed += 1
-            if gone is not None:
-                if removed > limit:
-                    gone = None  # oversized batch: record opaquely
-                else:
-                    gone.append((source, label, target))
-        if removed:
-            self._edge_count -= removed
-        return removed, gone
+            removed.append((source, label, target))
+        self._edge_count -= len(removed)
+        return removed
 
     def _incident_edges(self, node: Node) -> List[Edge]:
         """Every edge touching ``node`` (self-loops listed once)."""
@@ -428,29 +279,6 @@ class LabeledGraph:
             if source != node
         )
         return incident
-
-    def remove_node(self, node: Node) -> None:
-        """Remove ``node`` and every incident edge, atomically.
-
-        The node and all its incident edges disappear under **one**
-        version bump (and one journal delta), so derived caches are
-        invalidated a single time for the whole removal.
-        """
-        self._require(node)
-        collect = self._journal.maxlen != 0
-        _, gone = self._remove_edge_batch(self._incident_edges(node), collect)
-        del self._succ[node]
-        del self._pred[node]
-        self._node_attrs.pop(node, None)
-        old_version = self._version
-        self._version += 1
-        if collect:
-            self._record_delta(
-                old_version,
-                edges_removed=tuple(gone) if gone is not None else (),
-                nodes_removed=(node,),
-                opaque=gone is None,
-            )
 
     def apply_delta(
         self,
@@ -470,61 +298,87 @@ class LabeledGraph:
         Application order: edge removals, node removals (incident edges
         folded into the recorded delta), node additions, edge additions.
         Removals of absent elements are skipped silently (bulk
-        semantics); re-added elements are no-ops.
+        semantics); re-added elements are no-ops.  New nodes are listed
+        explicit ones first, then created endpoints in edge order.
 
         Returns the :class:`GraphDelta` describing what actually changed
         (with ``old_version == new_version`` when nothing did).  The
         returned delta reports precise contents even when the journal
         recorded the step opaquely or is disabled.
         """
-        succ = self._succ
-        pred = self._pred
-        removed_count, edges_gone = self._remove_edge_batch(remove_edges, True)
-        nodes_removed: List[Node] = []
-        for node in remove_nodes:
-            if node not in succ:
-                continue
-            _, incident_gone = self._remove_edge_batch(self._incident_edges(node), True)
-            if edges_gone is not None:
-                if incident_gone is None:
-                    edges_gone = None
-                else:
-                    edges_gone.extend(incident_gone)
-            del succ[node]
-            del pred[node]
-            self._node_attrs.pop(node, None)
-            nodes_removed.append(node)
-        nodes_added: List[Node] = []
-        for node in add_nodes:
-            if node not in succ:
-                succ[node] = {}
-                pred[node] = {}
-                nodes_added.append(node)
-        added_count, edges_new, created = self._add_edge_batch(add_edges, True)
-        nodes_added.extend(created)
-        if not (removed_count or added_count or nodes_removed or nodes_added):
-            return GraphDelta(self._version, self._version)
-        old_version = self._version
-        self._version += 1
-        delta = GraphDelta(
-            old_version,
-            self._version,
-            edges_added=tuple(edges_new) if edges_new is not None else (),
-            edges_removed=tuple(edges_gone) if edges_gone is not None else (),
-            nodes_added=tuple(nodes_added),
-            nodes_removed=tuple(nodes_removed),
-            opaque=edges_new is None or edges_gone is None,
+        return self._apply(
+            add_edges=add_edges,
+            remove_edges=remove_edges,
+            add_nodes=add_nodes,
+            remove_nodes=remove_nodes,
         )
-        if self._journal.maxlen != 0:
-            self._record_delta(
-                old_version,
-                edges_added=delta.edges_added,
-                edges_removed=delta.edges_removed,
-                nodes_added=delta.nodes_added,
-                nodes_removed=delta.nodes_removed,
-                opaque=delta.opaque,
-            )
-        return delta
+
+    def add_node(self, node: Node, *, strict: bool = False, **attrs) -> Node:
+        """Add ``node`` to the graph and return it.
+
+        Adding an existing node is a no-op (its attributes are updated)
+        unless ``strict`` is true, in which case :class:`DuplicateNodeError`
+        is raised.
+        """
+        if strict and node in self._succ:
+            raise DuplicateNodeError(node)
+        self._apply(add_nodes=(node,))
+        if attrs:
+            self._node_attrs.setdefault(node, {}).update(attrs)
+        return node
+
+    def add_nodes(self, nodes: Iterable[Node]) -> None:
+        """Add every node of ``nodes`` in one step (existing nodes are left untouched)."""
+        self._apply(add_nodes=nodes)
+
+    def add_edge(self, source: Node, label: Label, target: Node) -> Edge:
+        """Add the edge ``source -[label]-> target`` and return the triple.
+
+        Missing endpoints are created in the same version step.  Re-adding
+        an existing edge is a no-op.
+        """
+        edge = (source, label, target)
+        self._apply(add_edges=(edge,))
+        return edge
+
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        """Add every ``(source, label, target)`` triple of ``edges`` in one step."""
+        self._apply(add_edges=edges)
+
+    def add_edges_bulk(self, edges: Iterable[Edge], *, nodes: Iterable[Node] = ()) -> int:
+        """Add many edges (and optionally isolated ``nodes``) in one step.
+
+        This is the construction hot path used by every synthetic
+        generator: existing edges are skipped, and :attr:`version` is
+        bumped **once** for the whole batch, so derived caches (label
+        index, query answers, neighbourhood layers) are invalidated a
+        single time.  A generator-scale batch (more than
+        :attr:`JOURNAL_EDGE_LIMIT` elements) is journaled opaquely.
+
+        Returns the number of edges that were actually new.
+        """
+        return len(self._apply(add_edges=edges, add_nodes=nodes).edges_added)
+
+    def remove_edge(self, source: Node, label: Label, target: Node) -> None:
+        """Remove an edge; raise :class:`EdgeNotFoundError` if absent."""
+        if not self._apply(remove_edges=((source, label, target),)).edges_removed:
+            raise EdgeNotFoundError(source, label, target)
+
+    def remove_edges_bulk(self, edges: Iterable[Edge]) -> int:
+        """Remove many edges in one step — the mirror of :meth:`add_edges_bulk`.
+
+        Edges not present (and duplicates within ``edges``) are skipped
+        silently.  Returns the number of edges that were actually removed.
+        """
+        return len(self._apply(remove_edges=edges).edges_removed)
+
+    def remove_node(self, node: Node) -> None:
+        """Remove ``node`` and every incident edge in one step.
+
+        Raises :class:`NodeNotFoundError` when ``node`` is absent.
+        """
+        self._require(node)
+        self._apply(remove_nodes=(node,))
 
     # ------------------------------------------------------------------
     # inspection
@@ -686,11 +540,7 @@ class LabeledGraph:
 
     def copy(self, name: Optional[str] = None) -> "LabeledGraph":
         """Return an independent copy of the graph."""
-        clone = LabeledGraph(
-            name or self.name,
-            journal_limit=self.journal_limit,
-            journal_edge_limit=self._journal_edge_limit,
-        )
+        clone = LabeledGraph(name or self.name, journal_limit=self.journal_limit)
         clone._succ = self._copy_adjacency(self._succ)
         clone._pred = self._copy_adjacency(self._pred)
         clone._node_attrs = {node: dict(attrs) for node, attrs in self._node_attrs.items()}
@@ -806,25 +656,29 @@ class GraphLabelIndex:
         self.nodes: Tuple[Node, ...] = tuple(graph._succ)
         self.node_ids: Dict[Node, int] = {node: i for i, node in enumerate(self.nodes)}
         self.node_count: int = len(self.nodes)
-        node_ids = self.node_ids
-
         # per-label CSR reverse adjacency: label -> (indptr, indices)
-        self._rev: Dict[Label, Tuple[List[int], List[int]]] = {}
-        for label in graph._labels:
-            indptr: List[int] = [0]
-            indices: List[int] = []
-            for node in self.nodes:
-                sources = graph._pred[node].get(label)
-                if sources:
-                    indices.extend([node_ids[source] for source in sources])
-                indptr.append(len(indices))
-            self._rev[label] = (indptr, indices)
+        self._rev: Dict[Label, Tuple[List[int], List[int]]] = {
+            label: self._reverse_csr(graph, label) for label in graph._labels
+        }
 
         # forward adjacency is built lazily on first use (backward
         # evaluation — the common case — never touches it); the graph
         # reference is only held until then.
         self._fwd: Optional[Tuple[Tuple[Tuple[Label, int], ...], ...]] = None
         self._graph: Optional["LabeledGraph"] = graph
+
+    def _reverse_csr(self, graph: "LabeledGraph", label: Label) -> Tuple[List[int], List[int]]:
+        """The ``(indptr, indices)`` pair of ``label``'s predecessors per node id."""
+        node_ids = self.node_ids
+        pred = graph._pred
+        indptr: List[int] = [0]
+        indices: List[int] = []
+        for node in self.nodes:
+            sources = pred[node].get(label)
+            if sources:
+                indices.extend([node_ids[source] for source in sources])
+            indptr.append(len(indices))
+        return indptr, indices
 
     def _forward(self) -> Tuple[Tuple[Tuple[Label, int], ...], ...]:
         fwd_cached = self._fwd
@@ -894,20 +748,10 @@ class GraphLabelIndex:
         fresh.node_ids = self.node_ids
         fresh.node_count = self.node_count
         rev = dict(self._rev)
-        node_ids = self.node_ids
-        pred = graph._pred
         for label in touched:
             rev.pop(label, None)
-            if label not in graph._labels:
-                continue
-            indptr: List[int] = [0]
-            indices: List[int] = []
-            for node in self.nodes:
-                sources = pred[node].get(label)
-                if sources:
-                    indices.extend([node_ids[source] for source in sources])
-                indptr.append(len(indices))
-            rev[label] = (indptr, indices)
+            if label in graph._labels:
+                rev[label] = fresh._reverse_csr(graph, label)
         fresh._rev = rev
         # forward adjacency is edge-dependent in full; rebuild lazily
         fresh._fwd = None

@@ -39,12 +39,12 @@ observe stale languages.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.automata.dfa import DFA
 from repro.exceptions import NodeNotFoundError
 from repro.graph.labeled_graph import Label, LabeledGraph, Node
+from repro.query.engine import selects_any
 
 Word = Tuple[Label, ...]
 
@@ -654,7 +654,10 @@ class CompatibilityOracle:
         longest = _longest_accepted_length(dfa)
         if longest is not None and longest <= self.max_length:
             return True  # every accepted word fits the bound: walk was complete
-        return not self._selects_any_negative(dfa)
+        # step 4: exact fallback, all negatives in one product pass
+        index = self.graph.label_index()
+        node_ids = index.node_ids
+        return not selects_any(index, dfa, [node_ids[negative] for negative in self.negatives])
 
     # -- step 2: DFA × prefix-arena intersection ------------------------
     def _bounded_witness(self, dfa: DFA) -> bool:
@@ -678,39 +681,6 @@ class CompatibilityOracle:
                 if target in accepting and (cover >> child) & 1:
                     return True
                 stack.append((child, target))
-        return False
-
-    # -- step 4: exact fallback, all negatives in one product pass ------
-    def _selects_any_negative(self, dfa: DFA) -> bool:
-        index = self.graph.label_index()
-        out_pairs = index.out_pairs
-        node_positions = index.node_ids
-        n = index.node_count
-        transitions = dfa._transitions
-        accepting = dfa._accepting
-        initial = dfa.initial_state
-        state_ids: Dict[object, int] = {initial: 0}
-        seen: Set[int] = set()
-        queue: deque = deque()
-        for negative in self.negatives:
-            node_id = node_positions[negative]
-            if node_id not in seen:
-                seen.add(node_id)  # state id 0 * n + node_id
-                queue.append((node_id, initial))
-        while queue:
-            node_id, state = queue.popleft()
-            moves = transitions[state]
-            for label, target_id in out_pairs(node_id):
-                target_state = moves.get(label)
-                if target_state is None:
-                    continue
-                if target_state in accepting:
-                    return True
-                state_id = state_ids.setdefault(target_state, len(state_ids))
-                encoded = state_id * n + target_id
-                if encoded not in seen:
-                    seen.add(encoded)
-                    queue.append((target_id, target_state))
         return False
 
 

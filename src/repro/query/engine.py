@@ -63,7 +63,7 @@ from repro.regex.ast import Regex
 
 QueryLike = Union[str, Regex, PathQuery, DFA]
 
-__all__ = ["QueryPlan", "QueryEngine", "compile_plan"]
+__all__ = ["QueryPlan", "QueryEngine", "compile_plan", "selects_any"]
 
 
 class QueryPlan:
@@ -197,24 +197,14 @@ class QueryEngine:
     and an answer cache (graph × plan → answer set).  All methods are
     semantically identical to the naive helpers in
     :mod:`repro.query.evaluation`; only the cost model changes.
-
-    Parameters
-    ----------
-    max_cached_answers_per_graph:
-        Upper bound on memoised answer sets per graph snapshot (oldest
-        entries are evicted first).
-    max_cached_expression_plans:
-        Upper bound on plans cached for raw string expressions.
     """
 
-    def __init__(
-        self,
-        *,
-        max_cached_answers_per_graph: int = 512,
-        max_cached_expression_plans: int = 1024,
-    ):
-        self._max_answers = max_cached_answers_per_graph
-        self._max_expression_plans = max_cached_expression_plans
+    #: memoised answer sets per graph snapshot (oldest evicted first)
+    MAX_ANSWERS_PER_GRAPH = 512
+    #: plans cached for raw string expressions (least recently used evicted)
+    MAX_EXPRESSION_PLANS = 1024
+
+    def __init__(self):
         self._answer_caches: "weakref.WeakKeyDictionary[LabeledGraph, _GraphCache]" = (
             weakref.WeakKeyDictionary()
         )
@@ -270,7 +260,7 @@ class QueryEngine:
             if plan is None:
                 self._plan_misses += 1
                 plan = QueryPlan(PathQuery(query).dfa, assume_minimal=True)
-                if len(self._expression_plans) >= self._max_expression_plans:
+                if len(self._expression_plans) >= self.MAX_EXPRESSION_PLANS:
                     self._expression_plans.popitem(last=False)
                 self._expression_plans[query] = plan
             else:
@@ -360,7 +350,8 @@ class QueryEngine:
         if not isinstance(dfa, DFA):
             # strings / ASTs: compile fully — the plan cache makes repeats free
             return node in self.evaluate(graph, query)
-        return self._forward_selects(graph.label_index(), dfa, node)
+        index = graph.label_index()
+        return selects_any(index, dfa, (index.node_ids[node],))
 
     def answer_signature(self, graph: LabeledGraph, query: QueryLike) -> Tuple[Node, ...]:
         """Sorted tuple of selected nodes — a hashable answer fingerprint."""
@@ -474,7 +465,7 @@ class QueryEngine:
         return fresh
 
     def _remember(self, cache: _GraphCache, plan: QueryPlan, answer: FrozenSet[Node]) -> None:
-        if len(cache.answers) >= self._max_answers:
+        if len(cache.answers) >= self.MAX_ANSWERS_PER_GRAPH:
             evicted = next(iter(cache.answers))
             cache.answers.pop(evicted)
             cache.meta.pop(evicted, None)
@@ -578,35 +569,43 @@ class QueryEngine:
             answers.append(frozenset(nodes[i] for i in range(n) if row[i]))
         return answers
 
-    @staticmethod
-    def _forward_selects(index: GraphLabelIndex, dfa: DFA, node: Node) -> bool:
-        """Forward product search from ``(node, initial)`` with early exit."""
-        initial = dfa.initial_state
-        if dfa.is_accepting(initial):
-            return True
-        transitions = dfa._transitions
-        accepting = dfa._accepting
-        out_pairs = index.out_pairs
-        start = index.node_ids[node]
-        n = index.node_count
-        state_ids = {initial: 0}
-        seen = {0 * n + start}
-        queue: deque = deque([(start, initial)])
-        while queue:
-            node_id, state = queue.popleft()
-            moves = transitions[state]
-            for label, target_id in out_pairs(node_id):
-                target_state = moves.get(label)
-                if target_state is None:
-                    continue
-                if target_state in accepting:
-                    return True
-                state_id = state_ids.setdefault(target_state, len(state_ids))
-                encoded = state_id * n + target_id
-                if encoded not in seen:
-                    seen.add(encoded)
-                    queue.append((target_id, target_state))
-        return False
+
+def selects_any(index: GraphLabelIndex, dfa: DFA, start_ids: Sequence[int]) -> bool:
+    """True when ``dfa`` selects any of the node ids ``start_ids``.
+
+    A forward product search over graph × DFA from every ``(start,
+    initial)`` pair at once, exiting at the first accepting state it
+    reaches.  Starts are queued in the order given.
+    """
+    initial = dfa.initial_state
+    transitions = dfa._transitions
+    accepting = dfa._accepting
+    out_pairs = index.out_pairs
+    n = index.node_count
+    state_ids = {initial: 0}
+    seen = set()
+    queue: deque = deque()
+    for start in start_ids:
+        if start not in seen:
+            seen.add(start)  # state id 0: encoded 0 * n + start
+            queue.append((start, initial))
+    if queue and initial in accepting:
+        return True
+    while queue:
+        node_id, state = queue.popleft()
+        moves = transitions[state]
+        for label, target_id in out_pairs(node_id):
+            target_state = moves.get(label)
+            if target_state is None:
+                continue
+            if target_state in accepting:
+                return True
+            state_id = state_ids.setdefault(target_state, len(state_ids))
+            encoded = state_id * n + target_id
+            if encoded not in seen:
+                seen.add(encoded)
+                queue.append((target_id, target_state))
+    return False
 
 
 def compile_plan(query: QueryLike) -> QueryPlan:

@@ -1,7 +1,7 @@
 """The :class:`GraphWorkspace`: explicit ownership of all read-mostly state.
 
 A server multiplexing many sessions over one graph needs an explicit
-handle on the shared caches that it can size, refresh and account for,
+handle on the shared caches that it can refresh and account for,
 and *build-once* semantics when N cold sessions race on the same index.
 Every consumer holds a workspace, or implicitly uses
 :func:`default_workspace`.
@@ -77,8 +77,6 @@ class GraphWorkspace:
         of automaton structure, so sharing across workspaces is always
         sound); pass a private :class:`CanonicalFormCache` to isolate
         accounting.
-    max_memo_entries:
-        Bound on retained cross-session dedup memo entries (LRU).
     injector:
         Optional :class:`~repro.reliability.FaultInjector`; when set,
         build paths check their fault sites (``"workspace.language_index"``,
@@ -87,12 +85,14 @@ class GraphWorkspace:
         leaves every path untouched.
     """
 
+    #: retained cross-session dedup memo entries (least recently used evicted)
+    MAX_MEMO_ENTRIES = 1024
+
     def __init__(
         self,
         *,
         engine: Optional[QueryEngine] = None,
         canonical: Optional[CanonicalFormCache] = None,
-        max_memo_entries: int = 1024,
         injector: Optional[Any] = None,
     ):
         self.engine = engine if engine is not None else QueryEngine()
@@ -112,7 +112,6 @@ class GraphWorkspace:
             weakref.WeakKeyDictionary()
         )
         self._memo: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._max_memo_entries = max_memo_entries
         # counters surfaced by stats(); the serving tests assert on them
         self._language_builds = 0
         self._language_restrictions = 0
@@ -285,11 +284,11 @@ class GraphWorkspace:
             if cached is not None and cached[0] == graph.version:
                 return cached[1]
         digest = hashlib.sha1()
-        for node in sorted(graph.nodes(), key=str):
-            digest.update(repr(node).encode())
+        for text in sorted(map(repr, graph.nodes())):
+            digest.update(text.encode())
             digest.update(b"\x00")
-        for edge in sorted(graph.edges(), key=lambda e: tuple(map(str, e))):
-            digest.update(repr(edge).encode())
+        for text in sorted(map(repr, graph.edges())):
+            digest.update(text.encode())
             digest.update(b"\x01")
         fingerprint = digest.hexdigest()
         with self._lock:
@@ -315,7 +314,7 @@ class GraphWorkspace:
         with self._lock:
             self._memo[key] = value
             self._memo.move_to_end(key)
-            while len(self._memo) > self._max_memo_entries:
+            while len(self._memo) > self.MAX_MEMO_ENTRIES:
                 self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------

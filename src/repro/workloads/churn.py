@@ -119,12 +119,7 @@ class ChurnStream:
             ticks.append(ChurnTick(tick=tick, admit=admit, retire=retire))
         return initial, tuple(ticks)
 
-    def initial_graph(
-        self,
-        *,
-        journal_limit: Optional[int] = None,
-        journal_edge_limit: Optional[int] = None,
-    ) -> LabeledGraph:
+    def initial_graph(self, *, journal_limit: Optional[int] = None) -> LabeledGraph:
         """The window's starting graph, with every node pre-created.
 
         ``journal_limit=0`` builds the whole-invalidation baseline: with
@@ -132,11 +127,7 @@ class ChurnStream:
         which is exactly the pre-delta behaviour benchmarks compare
         against.
         """
-        graph = LabeledGraph(
-            self.name,
-            journal_limit=journal_limit,
-            journal_edge_limit=journal_edge_limit,
-        )
+        graph = LabeledGraph(self.name, journal_limit=journal_limit)
         graph.add_edges_bulk(self._initial, nodes=self.nodes)
         return graph
 

@@ -84,8 +84,9 @@ class TestCanonicalFormCache:
         assert cache.stats()["size"] == 1
         assert cache.stats()["hits"] == 1
 
-    def test_lru_eviction_keeps_hot_entries(self):
-        cache = CanonicalFormCache(max_entries=2)
+    def test_lru_eviction_keeps_hot_entries(self, monkeypatch):
+        monkeypatch.setattr(CanonicalFormCache, "MAX_ENTRIES", 2)
+        cache = CanonicalFormCache()
         hot = regex_to_dfa("a")
         cache.canonical_form(hot)
         cache.canonical_form(regex_to_dfa("b"))

@@ -1,8 +1,11 @@
 """The delta journal: recording, replay, atomicity and the label-index
 delta-refresh path."""
 
+import random
+
 import pytest
 
+from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.graph.delta import GraphDelta
 from repro.graph.labeled_graph import GraphLabelIndex, LabeledGraph
 
@@ -21,12 +24,11 @@ class TestRecording:
 
     def test_add_edge_records_chain(self):
         graph = LabeledGraph()
-        graph.add_edge("a", "x", "b")  # creates both endpoints: 3 bumps
-        deltas = graph.deltas_since(0)
-        assert len(deltas) == 3
-        assert deltas[0].nodes_added == ("a",)
-        assert deltas[1].nodes_added == ("b",)
-        assert deltas[2].edges_added == (("a", "x", "b"),)
+        graph.add_edge("a", "x", "b")  # creates both endpoints in the same step
+        (delta,) = graph.deltas_since(0)
+        assert graph.version == 1
+        assert delta.nodes_added == ("a", "b")
+        assert delta.edges_added == (("a", "x", "b"),)
 
     def test_remove_edge_records_delta(self):
         graph = LabeledGraph.from_edges([("a", "x", "b")])
@@ -104,7 +106,7 @@ class TestDeltasSince:
         graph.add_edges_bulk([("a", "x", "b")])
         anchor = graph.version
         for index in range(5):
-            graph.add_edge("a", "x", f"t{index}")  # 2 bumps each (new target)
+            graph.add_edge("a", "x", f"t{index}")  # one step each: 5 steps overflow 4
         assert graph.deltas_since(anchor) is None
 
     def test_disabled_journal_returns_none(self):
@@ -113,8 +115,9 @@ class TestDeltasSince:
         assert graph.deltas_since(graph.version - 1) is None
         assert graph.deltas_since(graph.version) == ()
 
-    def test_opaque_batch_blocks_replay(self):
-        graph = LabeledGraph(journal_edge_limit=2)
+    def test_opaque_batch_blocks_replay(self, monkeypatch):
+        monkeypatch.setattr(LabeledGraph, "JOURNAL_EDGE_LIMIT", 2)
+        graph = LabeledGraph()
         anchor = graph.version
         graph.add_edges_bulk([("a", "x", "b"), ("b", "x", "c"), ("c", "x", "d")])
         assert graph.deltas_since(anchor) is None
@@ -126,10 +129,8 @@ class TestDeltasSince:
         assert clone.deltas_since(0) is None
 
     def test_copy_preserves_journal_limits(self):
-        graph = LabeledGraph(journal_limit=7, journal_edge_limit=11)
-        clone = graph.copy()
-        assert clone.journal_limit == 7
-        assert clone.journal_edge_limit == 11
+        graph = LabeledGraph(journal_limit=7)
+        assert graph.copy().journal_limit == 7
 
 
 class TestApplyDelta:
@@ -181,13 +182,18 @@ class TestApplyDelta:
         assert batch.edge_count == sequential.edge_count
         assert batch.label_counts() == sequential.label_counts()
 
-    def test_oversized_batch_recorded_opaquely_but_returned_precisely(self):
-        graph = LabeledGraph(journal_edge_limit=2)
+    def test_oversized_batch_recorded_opaquely_but_returned_precisely(self, monkeypatch):
+        monkeypatch.setattr(LabeledGraph, "JOURNAL_EDGE_LIMIT", 2)
+        graph = LabeledGraph()
         graph.add_edges_bulk([(f"s{i}", "x", f"t{i}") for i in range(3)])
         anchor = graph.version
-        delta = graph.apply_delta(add_edges=[("s0", "y", f"u{i}") for i in range(4)])
-        assert delta.opaque
-        assert len(delta.nodes_added) == 4
+        added = [("s0", "y", f"u{i}") for i in range(4)]
+        delta = graph.apply_delta(add_edges=added)
+        assert not delta.opaque
+        assert delta.edges_added == tuple(added)
+        assert delta.nodes_added == ("u0", "u1", "u2", "u3")
+        assert graph._journal[-1].opaque
+        assert graph._journal[-1].new_version == delta.new_version == graph.version
         assert graph.deltas_since(anchor) is None  # journal refuses to bridge
 
 
@@ -243,13 +249,115 @@ class TestJournalBounds:
             graph.add_node(f"n{index}")
         assert len(graph._journal) == 3
 
-    def test_default_limits_from_class_constants(self):
+    def test_default_limits_from_class_constants(self, monkeypatch):
+        assert LabeledGraph().journal_limit == LabeledGraph.JOURNAL_LIMIT
+        monkeypatch.setattr(LabeledGraph, "JOURNAL_LIMIT", 5)
+        monkeypatch.setattr(LabeledGraph, "JOURNAL_EDGE_LIMIT", 3)
         graph = LabeledGraph()
-        assert graph.journal_limit == LabeledGraph.JOURNAL_LIMIT
-        assert graph.journal_edge_limit == LabeledGraph.JOURNAL_EDGE_LIMIT
+        assert graph.journal_limit == 5
+        graph.add_edge("a", "x", "b")  # 3 elements: journaled precisely
+        graph.add_edges_bulk([("b", "x", "c"), ("c", "x", "d")])  # 4: opaque
+        assert [delta.opaque for delta in graph._journal] == [False, True]
 
     def test_disabled_journal_stays_empty(self):
         graph = LabeledGraph(journal_limit=0)
         graph.add_edges_bulk([("a", "x", "b"), ("b", "y", "c")])
         graph.remove_node("b")
         assert len(graph._journal) == 0
+
+
+class TestOneStepPerMutation:
+    """Every mutator is at most one journaled step, and the journal replays
+    to the same graph."""
+
+    NODES = [f"n{index}" for index in range(10)]
+    LABELS = ["x", "y"]
+
+    def random_edge(self, rng):
+        return (rng.choice(self.NODES), rng.choice(self.LABELS), rng.choice(self.NODES))
+
+    def random_edges(self, rng):
+        return [self.random_edge(rng) for _ in range(rng.randint(0, 3))]
+
+    def random_nodes(self, rng):
+        return [rng.choice(self.NODES) for _ in range(rng.randint(0, 3))]
+
+    def call_random_mutator(self, graph, rng):
+        present = sorted(graph.edges())
+        # mostly present edges / nodes, sometimes absent ones
+        edge = rng.choice(present + [self.random_edge(rng)])
+        node = rng.choice(list(graph.nodes()) + ["ghost"])
+        name = rng.choice(
+            [
+                "add_node",
+                "add_nodes",
+                "add_edge",
+                "add_edges",
+                "add_edges_bulk",
+                "remove_edge",
+                "remove_edges_bulk",
+                "remove_node",
+                "apply_delta",
+            ]
+        )
+        if name == "add_node":
+            assert graph.add_node(rng.choice(self.NODES)) in graph
+        elif name == "add_nodes":
+            assert graph.add_nodes(self.random_nodes(rng)) is None
+        elif name == "add_edge":
+            edge = self.random_edge(rng)
+            assert graph.add_edge(*edge) == edge
+        elif name == "add_edges":
+            assert graph.add_edges(self.random_edges(rng)) is None
+        elif name == "add_edges_bulk":
+            edges = self.random_edges(rng)
+            new = len(set(edges) - set(present))
+            assert graph.add_edges_bulk(edges, nodes=self.random_nodes(rng)) == new
+        elif name == "remove_edge":
+            if edge in present:
+                graph.remove_edge(*edge)
+            else:
+                with pytest.raises(EdgeNotFoundError):
+                    graph.remove_edge(*edge)
+        elif name == "remove_edges_bulk":
+            edges = rng.sample(present, min(len(present), 2)) + [edge]
+            assert graph.remove_edges_bulk(edges) == len(set(edges) & set(present))
+        elif name == "remove_node":
+            if node in graph:
+                graph.remove_node(node)
+            else:
+                with pytest.raises(NodeNotFoundError):
+                    graph.remove_node(node)
+        else:
+            graph.apply_delta(
+                add_edges=self.random_edges(rng),
+                remove_edges=[edge],
+                add_nodes=self.random_nodes(rng),
+                remove_nodes=[node] if rng.random() < 0.3 else [],
+            )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_each_call_is_one_replayable_step(self, seed):
+        rng = random.Random(seed)
+        graph = LabeledGraph.from_edges([("n0", "x", "n1"), ("n1", "y", "n2")])
+        start = graph.copy()
+        anchor = graph.version
+        for _ in range(25):
+            before = graph.version
+            self.call_random_mutator(graph, rng)
+            assert graph.version - before in (0, 1)
+            index = graph.label_index()
+            scratch = GraphLabelIndex(graph)
+            assert index.nodes == scratch.nodes
+            assert index._rev == scratch._rev
+        for delta in graph.deltas_since(anchor):
+            start.apply_delta(
+                add_edges=delta.edges_added,
+                remove_edges=delta.edges_removed,
+                add_nodes=delta.nodes_added,
+                remove_nodes=delta.nodes_removed,
+            )
+        assert list(start.nodes()) == list(graph.nodes())
+        assert edges_of(start) == edges_of(graph)
+        assert start.edge_count == graph.edge_count
+        assert start.label_counts() == graph.label_counts()

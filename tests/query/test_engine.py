@@ -188,17 +188,19 @@ class TestPlanFingerprints:
         graph = LabeledGraph.from_edges([("a", "x", "b")])
         assert QueryEngine().evaluate(graph, DFA(0)) == frozenset()
 
-    def test_expression_plan_cache_bounded(self):
-        engine = QueryEngine(max_cached_expression_plans=2)
+    def test_expression_plan_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(QueryEngine, "MAX_EXPRESSION_PLANS", 2)
+        engine = QueryEngine()
         engine.plan("a")
         engine.plan("b")
         engine.plan("c")
         assert len(engine._expression_plans) <= 2
 
-    def test_expression_plan_eviction_is_lru(self):
+    def test_expression_plan_eviction_is_lru(self, monkeypatch):
         # a repeatedly-used plan must survive eviction pressure: each hit
         # refreshes its position, so the cold entry is evicted instead
-        engine = QueryEngine(max_cached_expression_plans=2)
+        monkeypatch.setattr(QueryEngine, "MAX_EXPRESSION_PLANS", 2)
+        engine = QueryEngine()
         hot = engine.plan("a")
         engine.plan("b")
         for filler in ("c", "d", "e"):
@@ -209,8 +211,9 @@ class TestPlanFingerprints:
         assert engine.plan("a") is hot
         assert engine.stats()["plan_misses"] == misses_before
 
-    def test_expression_plan_eviction_drops_least_recent(self):
-        engine = QueryEngine(max_cached_expression_plans=2)
+    def test_expression_plan_eviction_drops_least_recent(self, monkeypatch):
+        monkeypatch.setattr(QueryEngine, "MAX_EXPRESSION_PLANS", 2)
+        engine = QueryEngine()
         engine.plan("a")
         engine.plan("b")
         engine.plan("b")  # "a" is now the least recently used

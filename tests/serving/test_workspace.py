@@ -96,6 +96,21 @@ class TestFingerprints:
         workspace = GraphWorkspace()
         assert workspace.graph_fingerprint(one) == workspace.graph_fingerprint(two)
 
+    def test_nodes_with_equal_str_are_order_independent(self):
+        # 1 and "1" tie under str(); the digest must not fall back on
+        # insertion order to break the tie
+        one = LabeledGraph()
+        one.add_node(1)
+        one.add_node("1")
+        one.add_edges([(1, "x", "1"), ("1", "x", 1)])
+        two = LabeledGraph()
+        two.add_node("1")
+        two.add_node(1)
+        two.add_edges([("1", "x", 1), (1, "x", "1")])
+        assert one.structurally_equal(two)
+        workspace = GraphWorkspace()
+        assert workspace.graph_fingerprint(one) == workspace.graph_fingerprint(two)
+
     def test_changes_on_mutation(self, tiny_graph):
         workspace = GraphWorkspace()
         before = workspace.graph_fingerprint(tiny_graph)
@@ -132,8 +147,9 @@ class TestSessionStateStaysOnTheSession:
 
 
 class TestMemo:
-    def test_lru_bound(self):
-        workspace = GraphWorkspace(max_memo_entries=2)
+    def test_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(GraphWorkspace, "MAX_MEMO_ENTRIES", 2)
+        workspace = GraphWorkspace()
         workspace.memo_put("a", 1)
         workspace.memo_put("b", 2)
         workspace.memo_put("c", 3)

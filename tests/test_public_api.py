@@ -15,10 +15,12 @@ from repro import (
     LabeledGraph,
     PathQuery,
     PathQueryLearner,
+    QueryEngine,
     SessionManager,
     SimulatedUser,
     learn_query,
 )
+from repro.automata.canonical import CanonicalFormCache
 from repro.cli import build_parser
 from repro.devtools import LintConfig, lint_paths, lint_source
 from repro.experiments import ExperimentRunner, build_plan
@@ -26,6 +28,7 @@ from repro.interactive.oracle import UnreliableUser
 from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
 from repro.learning.informativeness import SessionClassifier, classify_all, informative_nodes
 from repro.learning.propagation import propagate_to_fixpoint
+from repro.workloads.churn import ChurnStream
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -52,9 +55,10 @@ EXPECTED_EXPORTS = {
     "__version__",
 }
 
-#: The settable options of the interactive loop and of the experiment
-#: runner, pinned: every option multiplies the configurations tests must
-#: cover, so adding one must be as deliberate as adding an export.
+#: The settable options of the interactive loop, the graph and its caches
+#: and the experiment runner, pinned: every option multiplies the
+#: configurations tests must cover, so adding one must be as deliberate as
+#: adding an export.
 EXPECTED_PARAMETERS = [
     (
         InteractiveSession,
@@ -114,6 +118,11 @@ EXPECTED_PARAMETERS = [
             "churn_node_counts",
         },
     ),
+    (LabeledGraph, {"name", "journal_limit"}),
+    (ChurnStream.initial_graph, {"self", "journal_limit"}),
+    (GraphWorkspace, {"engine", "canonical", "injector"}),
+    (QueryEngine, set()),
+    (CanonicalFormCache, set()),
     (LintConfig, {"select", "allow"}),
     (lint_paths, {"paths", "config", "root"}),
     (lint_source, {"source", "path", "config"}),
