@@ -10,15 +10,18 @@ The neighbourhood also records its *frontier*: the nodes of the fragment
 that still have edges leaving the fragment.  The front-end renders those
 as ``...`` continuations, exactly as in the figures of the paper.
 
-Since the zoom-index PR the module is incremental: a
-:class:`NeighborhoodIndex` caches BFS **layers** per
-``(graph.version, center, directed)``, so zooming out extends the last
-frontier by ``step`` layers instead of re-running BFS from radius 0, the
-zoom delta is read off the layer structure instead of diffing full
-fragment snapshots, and :func:`eccentricity_bound` shares the same
-layers.  :class:`Neighborhood` materialises its induced subgraph (and
-edge set) lazily — a simulated session that only asks "is this witness
-node visible?" never pays for fragment construction at all.
+Distance ignores edge direction, as in the paper's figures, where
+incoming and outgoing context both help the user decide.
+
+The module is incremental: a :class:`NeighborhoodIndex` caches BFS
+**layers** per ``(graph.version, center)``, so zooming out extends the
+last frontier by ``step`` layers instead of re-running BFS from radius
+0, and the zoom delta is read off the layer structure instead of
+diffing full fragment snapshots.  A fragment of radius ``r`` explores
+layers up to ``r + 1`` only, the layer its frontier needs.
+:class:`Neighborhood` materialises its induced subgraph (and edge set)
+lazily — a simulated session that only asks "is this witness node
+visible?" never pays for fragment construction at all.
 """
 
 from __future__ import annotations
@@ -46,12 +49,11 @@ class Neighborhood:
         The induced subgraph (a :class:`LabeledGraph`), materialised on
         first access.
     distances:
-        Mapping node -> distance from the centre (ignoring edge direction
-        unless the fragment was extracted with ``directed=True``).
+        Mapping node -> distance from the centre, ignoring edge direction.
     frontier:
         Nodes of the fragment that have at least one edge (in either
-        direction; outgoing only for directed fragments) to a node
-        outside the fragment; rendered as ``...``.
+        direction) to a node outside the fragment; rendered as ``...``.
+        Empty exactly when zooming out would reveal nothing.
 
     The fragment is a value snapshot of the graph at extraction time:
     the node set, distances and frontier are fixed eagerly, while the
@@ -65,7 +67,6 @@ class Neighborhood:
         "radius",
         "frontier",
         "_layers",
-        "_directed",
         "_source",
         "_source_version",
         "_distances",
@@ -80,7 +81,6 @@ class Neighborhood:
         radius: int,
         *,
         layers: Tuple[Tuple[Node, ...], ...],
-        directed: bool,
         source: LabeledGraph,
         source_version: int,
         frontier: FrozenSet[Node],
@@ -89,7 +89,6 @@ class Neighborhood:
         self.radius = radius
         self.frontier = frontier
         self._layers = layers
-        self._directed = directed
         self._source: Optional[LabeledGraph] = source
         # repro-lint: disable=REP302 -- value snapshot, not a cache: staleness is surfaced by _check_fresh() on access and fragments are re-extracted, never refreshed in place
         self._source_version = source_version
@@ -212,7 +211,7 @@ def _induced_edges(graph: LabeledGraph, nodes: FrozenSet[Node]) -> FrozenSet[Edg
 
 
 class _BfsState:
-    """Append-only BFS layer structure for one ``(center, directed)`` pair.
+    """Append-only undirected BFS layer structure around one centre.
 
     ``layers[d]`` holds the nodes at distance exactly ``d``; the structure
     only ever *extends* (one layer at a time), so every
@@ -220,11 +219,10 @@ class _BfsState:
     as later zooms deepen the BFS.
     """
 
-    __slots__ = ("center", "directed", "layers", "distances", "exhausted")
+    __slots__ = ("center", "layers", "distances", "exhausted")
 
-    def __init__(self, center: Node, directed: bool):
+    def __init__(self, center: Node):
         self.center = center
-        self.directed = directed
         self.layers: List[Tuple[Node, ...]] = [(center,)]
         self.distances: Dict[Node, int] = {center: 0}
         self.exhausted = False
@@ -235,7 +233,6 @@ class _BfsState:
         pred = graph._pred
         distances = self.distances
         layers = self.layers
-        directed = self.directed
         while not self.exhausted and len(layers) - 1 < radius:
             depth = len(layers)
             next_layer: List[Node] = []
@@ -246,12 +243,11 @@ class _BfsState:
                         if other not in distances:
                             distances[other] = depth
                             append(other)
-                if not directed:
-                    for sources in pred[node].values():
-                        for other in sources:
-                            if other not in distances:
-                                distances[other] = depth
-                                append(other)
+                for sources in pred[node].values():
+                    for other in sources:
+                        if other not in distances:
+                            distances[other] = depth
+                            append(other)
             if next_layer:
                 layers.append(tuple(next_layer))
             else:
@@ -289,7 +285,7 @@ class _BfsState:
                         break
                 if found:
                     break
-            if not found and not self.directed:
+            if not found:
                 for sources in pred[node].values():
                     for other in sources:
                         if distances.get(other) == outside_depth:
@@ -305,15 +301,15 @@ class _BfsState:
 class NeighborhoodIndex:
     """Incremental neighbourhood/zoom index of one :class:`LabeledGraph`.
 
-    Caches BFS layer structures per ``(graph.version, center, directed)``
-    so that, within one graph version:
+    Caches BFS layer structures per ``(graph.version, center)`` so that,
+    within one graph version:
 
     * zooming out from radius ``r`` to ``r + step`` explores only the new
       layers (the seed path re-ran the whole BFS from radius 0);
     * the zoom delta (new nodes / new edges) is read off the layer
       structure instead of diffing full fragment snapshots;
-    * :meth:`eccentricity_bound` and every later extraction around the
-      same centre share one BFS.
+    * every extraction around the same centre shares one BFS, which runs
+      only as deep as the largest radius asked for plus one layer.
 
     The index holds the graph weakly: it dies with the graph.  On a
     structural mutation (version bump) it consults the graph's delta
@@ -326,9 +322,9 @@ class NeighborhoodIndex:
     indefinitely.
     """
 
-    #: retained (center, directed) layer structures; a session's zoom
-    #: ladder touches one centre at a time, so a small bound loses
-    #: nothing while capping memory at ~bound x component size
+    #: retained per-centre layer structures; a session's zoom ladder
+    #: touches one centre at a time, so a small bound loses nothing while
+    #: capping memory at ~bound x explored ball size
     MAX_STATES = 64
 
     __slots__ = ("_graph_ref", "_version", "_states", "__weakref__")
@@ -340,7 +336,7 @@ class NeighborhoodIndex:
     def __init__(self, graph: LabeledGraph):
         self._graph_ref = weakref.ref(graph)
         self._version = graph.version
-        self._states: "OrderedDict[Tuple[Node, bool], _BfsState]" = OrderedDict()
+        self._states: "OrderedDict[Node, _BfsState]" = OrderedDict()
 
     @property
     def graph(self) -> LabeledGraph:
@@ -357,7 +353,10 @@ class NeighborhoodIndex:
         in its explored region: every path of length ≤ explored depth
         runs entirely through explored nodes, so a change with both
         endpoints outside cannot alter any recorded distance, layer or
-        boundary.  When :meth:`LabeledGraph.deltas_since
+        boundary.  A kept structure also deepens exactly on the new
+        graph: its deepest layer's edges are unchanged, so the next layer
+        comes out as a fresh BFS would build it.  When
+        :meth:`LabeledGraph.deltas_since
         <repro.graph.labeled_graph.LabeledGraph.deltas_since>` cannot
         bridge the gap, every state is dropped (the pre-journal
         behaviour).
@@ -386,68 +385,42 @@ class NeighborhoodIndex:
                 dropped += 1
         return (kept, dropped)
 
-    def cached_ball(
-        self, center: Node, radius: int, *, version: int
-    ) -> Optional[FrozenSet[Node]]:
-        """The undirected radius-``radius`` ball around ``center``, if cached.
-
-        Only answers from a layer structure built at exactly ``version``
-        (the caller's own snapshot version) that already covers
-        ``radius`` (or exhausted its component); returns ``None``
-        otherwise instead of running any BFS.  Used by
-        :meth:`LanguageIndex.refreshed
-        <repro.learning.language_index.LanguageIndex.refreshed>` to seed
-        affected-node sets from work a session already paid for.
-        """
-        if version != self._version:
-            return None
-        state = self._states.get((center, False))
-        if state is None:
-            return None
-        if not state.exhausted and len(state.layers) - 1 < radius:
-            return None
-        return frozenset(
-            node for layer in state.layers[: radius + 1] for node in layer
-        )
-
-    def _state(self, graph: LabeledGraph, center: Node, directed: bool) -> _BfsState:
+    def _state(self, graph: LabeledGraph, center: Node) -> _BfsState:
         if center not in graph:
             raise NodeNotFoundError(center)
         if graph.version != self._version:
             self.refresh(graph)
-        key = (center, directed)
-        state = self._states.get(key)
+        state = self._states.get(center)
         if state is None:
-            state = _BfsState(center, directed)
-            self._states[key] = state
+            state = _BfsState(center)
+            self._states[center] = state
             while len(self._states) > self.MAX_STATES:
                 self._states.popitem(last=False)
         else:
-            self._states.move_to_end(key)
+            self._states.move_to_end(center)
         return state
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def neighborhood(self, center: Node, radius: int, *, directed: bool = False) -> Neighborhood:
+    def neighborhood(self, center: Node, radius: int) -> Neighborhood:
         """The neighbourhood of ``center`` at distance at most ``radius``."""
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         graph = self.graph
-        state = self._state(graph, center, directed)
+        state = self._state(graph, center)
         # +1 so the boundary frontier is known from the layer structure
         state.ensure_radius(graph, radius + 1)
         return Neighborhood(
             center,
             radius,
             layers=tuple(state.layers[: radius + 1]),
-            directed=directed,
             source=graph,
             source_version=graph.version,
             frontier=state.boundary(graph, radius),
         )
 
-    def zoom(self, neighborhood: Neighborhood, *, step: int = 1, directed: bool = False) -> NeighborhoodDelta:
+    def zoom(self, neighborhood: Neighborhood, *, step: int = 1) -> NeighborhoodDelta:
         """Grow ``neighborhood`` by ``step`` layers and report what appeared.
 
         The enlarged fragment reuses the cached layers; the delta is the
@@ -458,18 +431,11 @@ class NeighborhoodIndex:
             raise ValueError(f"zoom step must be positive, got {step}")
         graph = self.graph
         previous_radius = neighborhood.radius
-        enlarged = self.neighborhood(
-            neighborhood.center, previous_radius + step, directed=directed
-        )
-        if (
-            neighborhood._source is not graph
-            or neighborhood._source_version != graph.version
-            or neighborhood._directed != directed
-        ):
+        enlarged = self.neighborhood(neighborhood.center, previous_radius + step)
+        if neighborhood._source is not graph or neighborhood._source_version != graph.version:
             # `previous` snapshots a different structure (another graph,
-            # an older version, a released source, or the other
-            # directedness): fall back to the generic full-diff delta so
-            # the contract still holds
+            # an older version, or a released source): fall back to the
+            # generic full-diff delta so the contract still holds
             try:
                 previous_edges = neighborhood.edges
             except RuntimeError:
@@ -513,10 +479,14 @@ class NeighborhoodIndex:
             new_edges=frozenset(new_edges),
         )
 
-    def eccentricity_bound(self, center: Node, *, directed: bool = False) -> int:
-        """Smallest radius whose neighbourhood covers everything reachable."""
+    def eccentricity_bound(self, center: Node) -> int:
+        """Smallest radius whose neighbourhood covers everything reachable.
+
+        Runs the BFS to the end of the component; the session's zoom
+        ladder reads :attr:`Neighborhood.frontier` instead.
+        """
         graph = self.graph
-        state = self._state(graph, center, directed)
+        state = self._state(graph, center)
         state.ensure_exhausted(graph)
         return len(state.layers) - 1
 
@@ -528,34 +498,18 @@ def _shared_index(graph: LabeledGraph) -> NeighborhoodIndex:
     return default_workspace().neighborhoods(graph)
 
 
-
-
-def extract_neighborhood(
-    graph: LabeledGraph,
-    center: Node,
-    radius: int,
-    *,
-    directed: bool = False,
-) -> Neighborhood:
+def extract_neighborhood(graph: LabeledGraph, center: Node, radius: int) -> Neighborhood:
     """Build the neighbourhood of ``center`` at distance at most ``radius``.
 
-    By default distance is measured ignoring edge direction (as in the
-    paper's figures, where incoming and outgoing context both help the
-    user decide); pass ``directed=True`` to only follow outgoing edges.
-
-    Served from the shared :class:`NeighborhoodIndex` of ``graph``, so
-    repeated extractions around the same centre (a zoom ladder, the
-    eccentricity probe of the session) pay one BFS between them.
+    Distance ignores edge direction.  Served from the shared
+    :class:`NeighborhoodIndex` of ``graph``, so repeated extractions
+    around the same centre (a zoom ladder) pay one BFS between them.
     """
-    return _shared_index(graph).neighborhood(center, radius, directed=directed)
+    return _shared_index(graph).neighborhood(center, radius)
 
 
 def zoom_out(
-    graph: LabeledGraph,
-    neighborhood: Neighborhood,
-    *,
-    step: int = 1,
-    directed: bool = False,
+    graph: LabeledGraph, neighborhood: Neighborhood, *, step: int = 1
 ) -> NeighborhoodDelta:
     """Grow a neighbourhood by ``step`` and report what became visible.
 
@@ -564,32 +518,28 @@ def zoom_out(
     elements absent from the previous fragment (the blue elements of
     Figure 3(b)).  Incremental: only the new layers are explored.
     """
-    return _shared_index(graph).zoom(neighborhood, step=step, directed=directed)
+    return _shared_index(graph).zoom(neighborhood, step=step)
 
 
 def neighborhood_chain(
-    graph: LabeledGraph,
-    center: Node,
-    radii: Tuple[int, ...] = (2, 3),
-    *,
-    directed: bool = False,
+    graph: LabeledGraph, center: Node, radii: Tuple[int, ...] = (2, 3)
 ) -> Tuple[Neighborhood, ...]:
     """Convenience: build neighbourhoods of ``center`` at each radius in ``radii``.
 
-    Used by the figure-reproduction harness to produce the Figure 3(a)
-    and 3(b) fragments in one call; the shared index runs one BFS for
-    the whole chain.
+    For example the Figure 3(a) and 3(b) fragments, ``radii=(2, 3)``, in
+    one call; the shared index runs one BFS for the whole chain.
     """
     index = _shared_index(graph)
     if center not in graph:
         raise NodeNotFoundError(center)
-    return tuple(index.neighborhood(center, radius, directed=directed) for radius in radii)
+    return tuple(index.neighborhood(center, radius) for radius in radii)
 
 
-def eccentricity_bound(graph: LabeledGraph, center: Node, *, directed: bool = False) -> int:
+def eccentricity_bound(graph: LabeledGraph, center: Node) -> int:
     """Smallest radius whose neighbourhood covers every node reachable from ``center``.
 
-    Zooming out beyond this radius never reveals anything new, so the
-    interactive session uses it to disable the zoom action.
+    Zooming out beyond this radius never reveals anything new.  This
+    runs the BFS to the end of the component; to decide whether one
+    more zoom reveals anything, test the fragment's ``frontier``.
     """
-    return _shared_index(graph).eccentricity_bound(center, directed=directed)
+    return _shared_index(graph).eccentricity_bound(center)

@@ -149,8 +149,8 @@ class InteractiveSession:
         #: of this session — one answer cache for the whole loop
         self.engine = workspace.engine
         #: incremental neighbourhood/zoom index shared by the session's
-        #: zoom ladder, the eccentricity cap and the figure harness —
-        #: one BFS per (version, center, directed) for the whole loop
+        #: zoom ladder and the figure harness — one BFS per
+        #: (version, center) for the whole loop
         self.neighborhoods = workspace.neighborhoods(graph)
         self.strategy = strategy or MostInformativePathsStrategy(max_path_length=max_path_length)
         self.halt_condition = halt_condition or default_halt_condition(max_interactions)
@@ -330,18 +330,22 @@ class InteractiveSession:
     def _present_neighborhood(self, node: Node) -> Tuple[Neighborhood, int]:
         """Show neighbourhoods of increasing radius while the user asks to zoom.
 
-        The whole ladder (eccentricity cap + every zoom level) runs on
-        the session's shared :class:`NeighborhoodIndex`, so it costs one
-        BFS per proposed node instead of one per zoom level.
+        A zoom is offered while the fragment shown has a frontier (zooming
+        out would reveal something) and its radius is below
+        ``DEFAULT_MAX_RADIUS``; both are checked before asking the user,
+        whose answer may have side effects.  The whole ladder runs on the
+        session's shared :class:`NeighborhoodIndex`, so it costs one BFS
+        per proposed node, explored one layer past the fragment shown.
         """
         index = self.neighborhoods
-        radius_cap = min(
-            DEFAULT_MAX_RADIUS, max(DEFAULT_INITIAL_RADIUS, index.eccentricity_bound(node))
-        )
-        radius = min(DEFAULT_INITIAL_RADIUS, radius_cap)
+        radius = DEFAULT_INITIAL_RADIUS
         neighborhood = index.neighborhood(node, radius)
         zooms = 0
-        while radius < radius_cap and self.user.wants_zoom(node, neighborhood):
+        while (
+            radius < DEFAULT_MAX_RADIUS
+            and neighborhood.frontier
+            and self.user.wants_zoom(node, neighborhood)
+        ):
             radius += 1
             neighborhood = index.neighborhood(node, radius)
             zooms += 1

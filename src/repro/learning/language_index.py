@@ -417,22 +417,14 @@ class LanguageIndex:
     # ------------------------------------------------------------------
     # delta refresh
     # ------------------------------------------------------------------
-    def refreshed(
-        self,
-        graph: LabeledGraph,
-        deltas: Tuple,
-        *,
-        neighborhoods=None,
-    ) -> Optional["LanguageIndex"]:
+    def refreshed(self, graph: LabeledGraph, deltas: Tuple) -> Optional["LanguageIndex"]:
         """An index at ``graph.version`` rescoring only delta-reachable nodes.
 
         A node's bounded language can change only if the node reaches the
         source of a changed edge within ``max_length - 1`` forward hops —
-        so only nodes in the backward BFS cone of the delta seeds (or,
-        when ``neighborhoods`` has one cached at this index's version, in
-        the undirected ball around a seed, a sound superset) get their
-        frontier walk redone; every other node's bitset is carried over
-        verbatim.  The shared :class:`PrefixIdArena` is append-only, so
+        so only nodes in the backward BFS cone of the delta seeds get
+        their frontier walk redone; every other node's bitset is carried
+        over verbatim.  The shared :class:`PrefixIdArena` is append-only, so
         word ids stay stable and views of this index remain valid.
 
         Returns ``None`` when a delta changed the node set (languages and
@@ -451,13 +443,7 @@ class LanguageIndex:
                 seeds.add(source)
             for source, _, _ in delta.edges_removed:
                 seeds.add(source)
-        affected = _affected_nodes(
-            graph,
-            seeds,
-            self.max_length,
-            neighborhoods=neighborhoods,
-            version_before=self.version,
-        )
+        affected = _affected_nodes(graph, seeds, self.max_length)
         fresh = object.__new__(LanguageIndex)
         fresh.version = graph.version
         fresh.max_length = self.max_length
@@ -516,14 +502,7 @@ class LanguageIndex:
         )
 
 
-def _affected_nodes(
-    graph: LabeledGraph,
-    seeds: Set[Node],
-    max_length: int,
-    *,
-    neighborhoods=None,
-    version_before: Optional[int] = None,
-) -> Set[Node]:
+def _affected_nodes(graph: LabeledGraph, seeds: Set[Node], max_length: int) -> Set[Node]:
     """Every node whose bounded language a change at ``seeds`` can touch.
 
     Soundness: take any node ``u`` whose language differs between the old
@@ -531,46 +510,24 @@ def _affected_nodes(
     changed edge has some seed ``s`` as source, and the prefix ``u → s``
     uses only unchanged edges — edges present in both snapshots — of
     length ≤ ``max_length - 1``.  Hence ``u`` lies in the backward BFS
-    cone of ``s`` on the new graph *and* in the undirected radius ball of
-    ``s`` on the old graph; either containment yields a superset of the
-    truly affected nodes.  Cached balls (from a
-    :class:`~repro.graph.neighborhood.NeighborhoodIndex` still at
-    ``version_before``) are preferred; remaining seeds share one
-    multi-source backward BFS.
+    cone of ``s`` on the new graph, which one multi-source backward BFS
+    over all seeds collects.
     """
-    radius = max_length - 1
-    affected: Set[Node] = set()
-    pending: List[Node] = []
-    for seed in seeds:
-        if seed not in graph:
-            continue
-        ball = None
-        if neighborhoods is not None and version_before is not None:
-            ball = neighborhoods.cached_ball(seed, radius, version=version_before)
-        if ball is not None:
-            affected.add(seed)
-            affected.update(ball)
-        else:
-            pending.append(seed)
-    if pending:
-        # the BFS keeps its own visited set: a node already absorbed from
-        # a ball must still be *explored* when reached from another seed
-        visited: Set[Node] = set(pending)
-        frontier: List[Node] = pending
-        pred = graph._pred
-        for _ in range(radius):
-            if not frontier:
-                break
-            next_frontier: List[Node] = []
-            for node in frontier:
-                for sources in pred[node].values():
-                    for source in sources:
-                        if source not in visited:
-                            visited.add(source)
-                            next_frontier.append(source)
-            frontier = next_frontier
-        affected |= visited
-    return affected
+    visited: Set[Node] = {seed for seed in seeds if seed in graph}
+    frontier: List[Node] = list(visited)
+    pred = graph._pred
+    for _ in range(max_length - 1):
+        if not frontier:
+            break
+        next_frontier: List[Node] = []
+        for node in frontier:
+            for sources in pred[node].values():
+                for source in sources:
+                    if source not in visited:
+                        visited.add(source)
+                        next_frontier.append(source)
+        frontier = next_frontier
+    return visited
 
 
 def _workspace_index(graph: LabeledGraph, max_length: int) -> LanguageIndex:

@@ -177,7 +177,6 @@ class GraphWorkspace:
                     if bound > max_length and cached.version == graph.version
                 ]
                 stale = per_graph_entries.get(max_length)
-                neighborhoods = self._neighborhoods.get(graph)
             try:
                 self._check_fault("workspace.language_index")
                 index = None
@@ -187,9 +186,7 @@ class GraphWorkspace:
                     # delta can reach is far cheaper than a full walk
                     deltas = graph.deltas_since(stale.version)
                     if deltas:
-                        index = stale.refreshed(
-                            graph, deltas, neighborhoods=neighborhoods
-                        )
+                        index = stale.refreshed(graph, deltas)
                         if index is not None:
                             kind = "refresh"
                 if index is None and larger:
@@ -330,7 +327,6 @@ class GraphWorkspace:
         * **rescopes** each stale :class:`LanguageIndex` to the
           delta-reachable nodes (:meth:`LanguageIndex.refreshed
           <repro.learning.language_index.LanguageIndex.refreshed>`),
-          seeding affected sets from cached neighbourhood balls,
         * **retains** every engine answer whose plan the deltas cannot
           have changed (:meth:`QueryEngine.refresh
           <repro.query.engine.QueryEngine.refresh>`),
@@ -344,8 +340,8 @@ class GraphWorkspace:
         batch, or a disabled journal — every layer drops its stale entries
         instead.  Refreshing is not a correctness requirement: every
         registry checks the version on access anyway.  With a ``graph``,
-        only that graph's entries are touched; without one, every
-        registered graph is refreshed.
+        only that graph's entries are touched; without one, every graph
+        that a registry or the engine holds entries for is refreshed.
 
         Returns counters of what was refreshed, retained and dropped.
         """
@@ -369,10 +365,15 @@ class GraphWorkspace:
                 targets = list(seen.values())
         for target in targets:
             self._refresh_graph(target, counters)
+        # without a graph the engine refreshes every graph it holds answers
+        # for, including graphs that no registry above has seen
+        engine_counters = self.engine.refresh(graph)
+        counters["answers_retained"] = engine_counters["answers_retained"]
+        counters["answers_dropped"] = engine_counters["answers_dropped"]
         return counters
 
     def _refresh_graph(self, target: LabeledGraph, counters: Dict[str, int]) -> None:
-        """Refresh every structure of one graph (counters updated in place)."""
+        """Refresh one graph's registries, not the engine (counters updated in place)."""
         with self._lock:
             per_graph = self._language.get(target)
             stale = (
@@ -385,17 +386,12 @@ class GraphWorkspace:
                 else []
             )
             neighborhoods = self._neighborhoods.get(target)
-        # language upgrades happen before neighborhoods.refresh() — each
-        # index seeds its affected set from balls cached at its own base
-        # version — and outside the registry lock (never hold it across a
-        # build); the identity re-check below makes losing a race benign.
+        # language upgrades run outside the registry lock (never hold it
+        # across a build); the identity re-check below makes losing a race
+        # benign.
         for bound, index in stale:
             deltas = target.deltas_since(index.version)
-            fresh = (
-                index.refreshed(target, deltas, neighborhoods=neighborhoods)
-                if deltas
-                else None
-            )
+            fresh = index.refreshed(target, deltas) if deltas else None
             with self._lock:
                 registry = self._language.get(target)
                 if registry is None or registry.get(bound) is not index:
@@ -412,9 +408,6 @@ class GraphWorkspace:
             if cached is not None and cached[0] != target.version:
                 del self._fingerprints[target]
                 counters["fingerprints_dropped"] += 1
-        engine_counters = self.engine.refresh(target)
-        counters["answers_retained"] += engine_counters["answers_retained"]
-        counters["answers_dropped"] += engine_counters["answers_dropped"]
         if neighborhoods is not None:
             kept, dropped = neighborhoods.refresh(target)
             counters["neighborhood_states_kept"] += kept

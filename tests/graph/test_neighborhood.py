@@ -21,23 +21,21 @@ from repro.serving.workspace import default_workspace
 
 
 def neighborhood_index(graph):
-    """Workspace-backed index accessor (the module-level shim now warns)."""
+    """The process workspace's shared index of ``graph``."""
     return default_workspace().neighborhoods(graph)
 
 
 # ----------------------------------------------------------------------
 # the seed implementation, reproduced verbatim as the oracle
 # ----------------------------------------------------------------------
-def _scratch_extract(graph, center, radius, *, directed=False):
+def _scratch_extract(graph, center, radius):
     """Seed ``extract_neighborhood``: full BFS + eager subgraph + scan."""
     distances = {center: 0}
     frontier = {center}
     for step in range(1, radius + 1):
         next_frontier = set()
         for node in sorted(frontier, key=str):
-            neighbors = set(graph.successors(node))
-            if not directed:
-                neighbors |= graph.predecessors(node)
+            neighbors = set(graph.successors(node)) | graph.predecessors(node)
             for other in sorted(neighbors, key=str):
                 if other not in distances:
                     distances[other] = step
@@ -49,18 +47,14 @@ def _scratch_extract(graph, center, radius, *, directed=False):
     boundary = set()
     for node in fragment.nodes():
         outside_out = any(target not in distances for target in graph.successors(node))
-        outside_in = False
-        if not directed:
-            outside_in = any(source not in distances for source in graph.predecessors(node))
+        outside_in = any(source not in distances for source in graph.predecessors(node))
         if outside_out or outside_in:
             boundary.add(node)
     return distances, fragment, frozenset(boundary)
 
 
-def _assert_matches_scratch(graph, neighborhood, *, directed=False):
-    distances, fragment, boundary = _scratch_extract(
-        graph, neighborhood.center, neighborhood.radius, directed=directed
-    )
+def _assert_matches_scratch(graph, neighborhood):
+    distances, fragment, boundary = _scratch_extract(graph, neighborhood.center, neighborhood.radius)
     assert neighborhood.distances == distances
     assert neighborhood.nodes == frozenset(fragment.nodes())
     assert neighborhood.edges == frozenset(fragment.edges())
@@ -69,32 +63,26 @@ def _assert_matches_scratch(graph, neighborhood, *, directed=False):
 
 
 class TestIndexMatchesScratchOracle:
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_random_graphs_centers_radii(self, directed):
+    def test_random_graphs_centers_radii(self):
         for seed in range(4):
             graph = random_graph(40, 120, ("a", "b", "c"), seed=seed)
             index = NeighborhoodIndex(graph)
             centers = sorted(graph.nodes(), key=str)[:: 13]
             for center in centers:
                 for radius in (0, 1, 2, 4):
-                    neighborhood = index.neighborhood(center, radius, directed=directed)
-                    _assert_matches_scratch(graph, neighborhood, directed=directed)
+                    neighborhood = index.neighborhood(center, radius)
+                    _assert_matches_scratch(graph, neighborhood)
 
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_zoom_delta_equals_scratch_delta(self, directed):
+    def test_zoom_delta_equals_scratch_delta(self):
         for seed in range(4):
             graph = scale_free_graph(45, edges_per_node=2, seed=seed)
             index = NeighborhoodIndex(graph)
             for center in sorted(graph.nodes(), key=str)[:: 17]:
-                previous = index.neighborhood(center, 1, directed=directed)
+                previous = index.neighborhood(center, 1)
                 for step in (1, 2):
-                    delta = index.zoom(previous, step=step, directed=directed)
-                    _, prev_fragment, _ = _scratch_extract(
-                        graph, center, previous.radius, directed=directed
-                    )
-                    _, cur_fragment, _ = _scratch_extract(
-                        graph, center, previous.radius + step, directed=directed
-                    )
+                    delta = index.zoom(previous, step=step)
+                    _, prev_fragment, _ = _scratch_extract(graph, center, previous.radius)
+                    _, cur_fragment, _ = _scratch_extract(graph, center, previous.radius + step)
                     assert delta.current.radius == previous.radius + step
                     assert delta.new_nodes == (
                         frozenset(cur_fragment.nodes()) - frozenset(prev_fragment.nodes())
@@ -109,26 +97,15 @@ class TestIndexMatchesScratchOracle:
             graph = random_graph(30, 60, ("a", "b"), seed=seed)
             index = NeighborhoodIndex(graph)
             for center in sorted(graph.nodes(), key=str)[:: 11]:
-                for directed in (False, True):
-                    bound = index.eccentricity_bound(center, directed=directed)
-                    full = index.neighborhood(center, bound, directed=directed)
-                    bigger = index.neighborhood(center, bound + 1, directed=directed)
-                    assert full.nodes == bigger.nodes
-                    # at the bound nothing leaves the fragment any more
-                    assert not full.frontier
-                    if bound > 0:
-                        smaller = index.neighborhood(center, bound - 1, directed=directed)
-                        assert smaller.nodes < full.nodes
-
-    def test_frontier_directed_vs_undirected(self):
-        graph = random_graph(35, 90, ("a", "b", "c"), seed=9)
-        index = NeighborhoodIndex(graph)
-        for center in sorted(graph.nodes(), key=str)[:: 9]:
-            for radius in (1, 2):
-                undirected = index.neighborhood(center, radius)
-                directed = index.neighborhood(center, radius, directed=True)
-                _assert_matches_scratch(graph, undirected)
-                _assert_matches_scratch(graph, directed, directed=True)
+                bound = index.eccentricity_bound(center)
+                full = index.neighborhood(center, bound)
+                bigger = index.neighborhood(center, bound + 1)
+                assert full.nodes == bigger.nodes
+                # at the bound nothing leaves the fragment any more
+                assert not full.frontier
+                if bound > 0:
+                    smaller = index.neighborhood(center, bound - 1)
+                    assert smaller.nodes < full.nodes
 
 
 class TestIndexBehaviour:
@@ -177,17 +154,20 @@ class TestIndexBehaviour:
         assert "C2" in delta.current.nodes
         assert ("N2", "tram", "C2") in delta.new_edges
 
-    def test_zoom_with_mismatched_directedness_falls_back_to_full_diff(self):
-        """Regression: a directed fragment zoomed undirected (or vice
-        versa) must produce the honest set-difference delta, not a
-        layer-slice of the wrong BFS."""
+    def test_zoom_from_materialised_fragment_falls_back_to_full_diff(self):
+        """A fragment whose ``.graph`` was materialised has released its
+        base graph, so zooming it takes the full-diff branch instead of
+        the layer slice; that delta must still be the honest set
+        difference."""
         graph = random_graph(30, 80, ("a", "b"), seed=3)
         index = NeighborhoodIndex(graph)
         for center in sorted(graph.nodes(), key=str)[:: 7]:
-            directed_base = index.neighborhood(center, 1, directed=True)
-            delta = index.zoom(directed_base, step=1, directed=False)
-            _, prev_fragment, _ = _scratch_extract(graph, center, 1, directed=True)
-            _, cur_fragment, _ = _scratch_extract(graph, center, 2, directed=False)
+            base = index.neighborhood(center, 1)
+            base.graph  # noqa: B018 - materialisation is the side effect
+            assert base._source is None
+            delta = index.zoom(base, step=1)
+            _, prev_fragment, _ = _scratch_extract(graph, center, 1)
+            _, cur_fragment, _ = _scratch_extract(graph, center, 2)
             assert delta.current.nodes == frozenset(cur_fragment.nodes())
             assert delta.new_nodes == (
                 frozenset(cur_fragment.nodes()) - frozenset(prev_fragment.nodes())
@@ -242,11 +222,6 @@ class TestExtractNeighborhood:
         assert "N4" in neighborhood.frontier
         # N2's own edges are all inside
         assert "N2" not in neighborhood.frontier
-
-    def test_directed_neighborhood_smaller(self, figure1_graph):
-        undirected = extract_neighborhood(figure1_graph, "N6", 1)
-        directed = extract_neighborhood(figure1_graph, "N6", 1, directed=True)
-        assert set(directed.graph.nodes()) <= set(undirected.graph.nodes())
 
     def test_induced_edges_only(self, figure1_graph):
         neighborhood = extract_neighborhood(figure1_graph, "N2", 1)
@@ -313,7 +288,6 @@ class TestChainsAndBounds:
 
     def test_eccentricity_bound_chain(self, chain5):
         assert eccentricity_bound(chain5, "c0") == 5
-        assert eccentricity_bound(chain5, "c0", directed=True) == 5
 
     def test_eccentricity_isolated_node(self):
         from repro.graph.labeled_graph import LabeledGraph

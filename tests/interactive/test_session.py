@@ -3,11 +3,18 @@
 import pytest
 
 from repro.exceptions import SessionFinishedError
+from repro.graph.generators import chain_graph, random_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.neighborhood import NeighborhoodIndex
 from repro.interactive.halt import UserSatisfied
 from repro.interactive.oracle import NoisyUser, SimulatedUser
-from repro.interactive.session import DEFAULT_INITIAL_RADIUS, InteractiveSession
+from repro.interactive.session import (
+    DEFAULT_INITIAL_RADIUS,
+    DEFAULT_MAX_RADIUS,
+    InteractiveSession,
+)
 from repro.interactive.strategies import RandomStrategy
-from repro.serving.workspace import default_workspace
+from repro.serving.workspace import GraphWorkspace, default_workspace
 
 
 def evaluate(graph, query):
@@ -206,3 +213,76 @@ class TestWorkspaceInjection:
         session.run()
         with pytest.raises(SessionFinishedError):
             session.advance()
+
+
+class AlwaysZoom:
+    """A user who asks to zoom whenever offered; counts the questions."""
+
+    def __init__(self):
+        self.asked = 0
+
+    def wants_zoom(self, node, neighborhood):
+        self.asked += 1
+        return True
+
+
+def eccentricity_capped_ladder(index, node, user):
+    """The zoom ladder as it was when the node's eccentricity capped it."""
+    cap = min(DEFAULT_MAX_RADIUS, max(DEFAULT_INITIAL_RADIUS, index.eccentricity_bound(node)))
+    radius = min(DEFAULT_INITIAL_RADIUS, cap)
+    neighborhood = index.neighborhood(node, radius)
+    zooms = 0
+    while radius < cap and user.wants_zoom(node, neighborhood):
+        radius += 1
+        neighborhood = index.neighborhood(node, radius)
+        zooms += 1
+    return neighborhood, zooms
+
+
+def isolated_node():
+    graph = LabeledGraph()
+    graph.add_node("alone")
+    return graph
+
+
+#: eccentricities below 2 (chain1, isolated), from 2 to 6 (chain3) and
+#: above 6 (chain12): the three branches of the old cap's min/max
+LADDER_GRAPHS = {
+    "chain1": lambda: chain_graph(1),
+    "chain3": lambda: chain_graph(3),
+    "chain12": lambda: chain_graph(12),
+    "isolated": isolated_node,
+    "random-sparse": lambda: random_graph(30, 34, seed=4),
+    "random-dense": lambda: random_graph(25, 60, seed=8),
+}
+
+
+class TestZoomLadder:
+    @pytest.mark.parametrize("name", sorted(LADDER_GRAPHS))
+    def test_frontier_ladder_equals_eccentricity_capped_ladder(self, name):
+        graph = LADDER_GRAPHS[name]()
+        user = AlwaysZoom()
+        session = InteractiveSession(graph, user, workspace=GraphWorkspace())
+        reference_user = AlwaysZoom()
+        reference_index = NeighborhoodIndex(graph)
+        for node in sorted(graph.nodes(), key=str):
+            shown, zooms = session._present_neighborhood(node)
+            expected, expected_zooms = eccentricity_capped_ladder(
+                reference_index, node, reference_user
+            )
+            assert shown.nodes == expected.nodes
+            assert (shown.radius, zooms) == (expected.radius, expected_zooms)
+            assert user.asked == reference_user.asked
+
+    def test_ladder_explores_one_layer_past_the_fragment_shown(self):
+        graph = chain_graph(30)
+        workspace = GraphWorkspace()
+        user = SimulatedUser(graph, "next . next . next", workspace=workspace)
+        session = InteractiveSession(graph, user, workspace=workspace)
+        result = session.run()
+        shown = {record.node: record.final_radius for record in result.records}
+        assert set(shown.values()) == {2, 3}
+        states = session.neighborhoods._states
+        assert states
+        for state in states.values():
+            assert len(state.layers) <= shown[state.center] + 2, state.center

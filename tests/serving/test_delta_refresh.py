@@ -50,6 +50,12 @@ def assert_language_index_matches_scratch(index: LanguageIndex, graph: LabeledGr
             )
 
 
+def assert_same_fragment(kept, fresh):
+    assert kept.nodes == fresh.nodes, f"ball of {kept.center!r} diverged"
+    assert kept.distances == fresh.distances
+    assert kept.frontier == fresh.frontier
+
+
 class TestLanguageIndexProperty:
     @pytest.mark.parametrize("seed", [7, 23, 91])
     def test_refresh_equals_scratch_over_random_ticks(self, seed):
@@ -138,29 +144,39 @@ class TestNeighborhoodProperty:
         graph = random_graph(20, 30, ALPHABET, seed=seed)
         index = NeighborhoodIndex(graph)
         centers = sorted(graph.nodes(), key=str)[:6]
+        deepened = 0
         for _ in range(5):
             for center in centers:
                 index.neighborhood(center, 2)
+            # a second index explored to depth 1 only when the tick lands:
+            # the states it keeps are deepened on the new version below
+            shallow = NeighborhoodIndex(graph)
+            for center in centers:
+                shallow.neighborhood(center, 0)
             random_tick(rng, graph, churn=2)
             index.refresh(graph)
+            shallow.refresh(graph)
+            deepened += sum(not state.exhausted for state in shallow._states.values())
             scratch = NeighborhoodIndex(graph)
             for center in centers:
-                kept = index.neighborhood(center, 2)
-                fresh = scratch.neighborhood(center, 2)
-                assert kept.nodes == fresh.nodes, f"ball of {center!r} diverged"
-                assert kept.distances == fresh.distances
-                assert kept.frontier == fresh.frontier
+                assert_same_fragment(index.neighborhood(center, 2), scratch.neighborhood(center, 2))
+                for radius in (2, 3, 5):
+                    assert_same_fragment(
+                        shallow.neighborhood(center, radius), scratch.neighborhood(center, radius)
+                    )
+                assert shallow.eccentricity_bound(center) == scratch.eccentricity_bound(center)
+        assert deepened > 0
 
     def test_disjoint_state_survives_refresh(self):
         graph = LabeledGraph.from_edges([("a", "x", "b"), ("c", "y", "d")])
         index = NeighborhoodIndex(graph)
         index.neighborhood("a", 1)
         index.neighborhood("c", 1)
-        state_a = index._states[("a", False)]
+        state_a = index._states["a"]
         graph.add_edge("c", "z", "d")
         kept, dropped = index.refresh(graph)
         assert (kept, dropped) == (1, 1)
-        assert index._states[("a", False)] is state_a
+        assert index._states["a"] is state_a
 
 
 class TestInterleavedPrecision:
@@ -211,6 +227,27 @@ class TestInterleavedPrecision:
         assert {key: value for key, value in untouched.items() if value} == {
             "neighborhood_states_kept": 1
         }
+
+    def test_refresh_without_graph_reaches_engine_only_graphs(self):
+        """A graph that only the engine holds answers for is refreshed by
+        ``refresh()`` exactly as by ``refresh(graph)``."""
+
+        def engine_only_graph_after_a_mutation():
+            workspace = GraphWorkspace()
+            graph = LabeledGraph.from_edges([("a", "x", "b"), ("b", "y", "c")])
+            workspace.engine.evaluate(graph, "y")
+            workspace.engine.evaluate(graph, "x")
+            graph.add_edge("c", "x", "a")
+            return workspace, graph
+
+        workspace, graph = engine_only_graph_after_a_mutation()
+        scoped = workspace.refresh(graph)
+        workspace, graph = engine_only_graph_after_a_mutation()
+        unscoped = workspace.refresh()
+        assert unscoped == scoped
+        assert (unscoped["answers_retained"], unscoped["answers_dropped"]) == (1, 1)
+        assert workspace.engine.stats()["delta_refreshes"] == 1
+        assert workspace.engine.evaluate(graph, "x") == {"a", "c"}
 
     def test_interleaved_mutations_both_graphs_stay_correct(self):
         workspace = GraphWorkspace()

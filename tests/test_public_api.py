@@ -24,9 +24,17 @@ from repro.automata.canonical import CanonicalFormCache
 from repro.cli import build_parser
 from repro.devtools import LintConfig, lint_paths, lint_source
 from repro.experiments import ExperimentRunner, build_plan
+from repro.graph.neighborhood import (
+    NeighborhoodIndex,
+    eccentricity_bound,
+    extract_neighborhood,
+    neighborhood_chain,
+    zoom_out,
+)
 from repro.interactive.oracle import UnreliableUser
 from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
 from repro.learning.informativeness import SessionClassifier, classify_all, informative_nodes
+from repro.learning.language_index import LanguageIndex
 from repro.learning.propagation import propagate_to_fixpoint
 from repro.workloads.churn import ChurnStream
 
@@ -121,6 +129,14 @@ EXPECTED_PARAMETERS = [
     (LabeledGraph, {"name", "journal_limit"}),
     (ChurnStream.initial_graph, {"self", "journal_limit"}),
     (GraphWorkspace, {"engine", "canonical", "injector"}),
+    (NeighborhoodIndex.neighborhood, {"self", "center", "radius"}),
+    (NeighborhoodIndex.zoom, {"self", "neighborhood", "step"}),
+    (NeighborhoodIndex.eccentricity_bound, {"self", "center"}),
+    (extract_neighborhood, {"graph", "center", "radius"}),
+    (zoom_out, {"graph", "neighborhood", "step"}),
+    (neighborhood_chain, {"graph", "center", "radii"}),
+    (eccentricity_bound, {"graph", "center"}),
+    (LanguageIndex.refreshed, {"self", "graph", "deltas"}),
     (QueryEngine, set()),
     (CanonicalFormCache, set()),
     (LintConfig, {"select", "allow"}),
