@@ -11,8 +11,9 @@ gates are asserted here:
   falls back to drop-and-rebuild, which is exactly what every mutation
   cost before the journal existed.
 * **Bit-identical structures** — after every tick, the delta-maintained
-  label index, language index, answer cache and neighbourhood balls
-  equal scratch rebuilds on the mutated graph.
+  label index, language index (and its restricted bound-2 view), answer
+  cache and neighbourhood balls equal scratch rebuilds on the mutated
+  graph.
 * **Journal-overflow fallback** — a journal too small to bridge the
   accumulated ticks must degrade to the whole-drop path and still be
   correct, never serve stale state.
@@ -34,6 +35,8 @@ from conftest import write_artifact
 ALPHABET = ("a", "b", "c", "d")
 QUERIES = ("a", "(a + b)* . c", "b . d")
 BOUND = 3
+#: the path-validation bound below BOUND, served as a restriction of it
+VIEW_BOUND = 2
 
 #: the headline stream: big enough that a whole rebuild dwarfs the cone
 NODE_COUNT = 1600
@@ -87,15 +90,20 @@ def _run_ticks(stream: ChurnStream, *, journal_limit=None) -> float:
 # ----------------------------------------------------------------------
 # correctness gates
 # ----------------------------------------------------------------------
-def _assert_matches_scratch(workspace: GraphWorkspace, graph, centers) -> None:
-    """Every delta-maintained structure equals a from-scratch rebuild."""
-    maintained = workspace.language_index(graph, BOUND)
-    scratch = LanguageIndex(graph, BOUND)
+def _assert_language_matches_scratch(workspace: GraphWorkspace, graph, bound: int) -> None:
+    """The workspace's language index at ``bound`` equals a from-scratch build."""
+    maintained = workspace.language_index(graph, bound)
+    scratch = LanguageIndex(graph, bound)
     assert maintained.version == graph.version
     for node in scratch.nodes:
         assert maintained.decode(maintained.language(node)) == scratch.decode(
             scratch.language(node)
-        ), f"language of {node!r} diverged from scratch"
+        ), f"bound-{bound} language of {node!r} diverged from scratch"
+
+
+def _assert_matches_scratch(workspace: GraphWorkspace, graph, centers) -> None:
+    """Every delta-maintained structure equals a from-scratch rebuild."""
+    _assert_language_matches_scratch(workspace, graph, BOUND)
 
     label_index = graph.label_index()
     fresh_label_index = GraphLabelIndex(graph)
@@ -120,11 +128,13 @@ def test_delta_refreshed_structures_bit_identical_to_scratch():
     workspace = GraphWorkspace()
     centers = stream.nodes[:4]
     _touch_layers(workspace, graph, centers[0])
+    workspace.language_index(graph, VIEW_BOUND)
     delta_refreshes = 0
     for tick in stream.ticks():
         tick.apply(graph)
         counters = workspace.refresh(graph)
         delta_refreshes += counters["language_indexes_refreshed"]
+        _assert_language_matches_scratch(workspace, graph, VIEW_BOUND)
         _assert_matches_scratch(workspace, graph, centers)
     # the equality must have been exercised on the delta path, not on
     # rebuilds that happen to be trivially equal to themselves

@@ -71,6 +71,13 @@ def _load_graph(path: Optional[str], dataset: Optional[str]) -> LabeledGraph:
     return graph_io.load_edge_list(file_path)
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of a path-length bound: an int of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", help="path to a graph file (.json or tab-separated edge list)")
     parser.add_argument(
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(learn_parser)
     learn_parser.add_argument("--positive", nargs="+", required=True, help="positive example nodes")
     learn_parser.add_argument("--negative", nargs="*", default=[], help="negative example nodes")
-    learn_parser.add_argument("--max-path-length", type=int, default=6)
+    learn_parser.add_argument("--max-path-length", type=_positive_int, default=6)
     learn_parser.set_defaults(handler=_cmd_learn)
 
     simulate_parser = subparsers.add_parser(
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_parser.add_argument("--no-validation", action="store_true", help="disable path validation")
     simulate_parser.add_argument("--max-interactions", type=int, default=50)
-    simulate_parser.add_argument("--max-path-length", type=int, default=6)
+    simulate_parser.add_argument("--max-path-length", type=_positive_int, default=6)
     simulate_parser.add_argument("--seed", type=int, default=None)
     simulate_parser.add_argument("--save-transcript", help="write the session transcript to this JSON file")
     simulate_parser.set_defaults(handler=_cmd_simulate)

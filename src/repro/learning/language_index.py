@@ -33,7 +33,7 @@ Indexes are value snapshots in the same sense as
 :class:`repro.graph.labeled_graph.GraphLabelIndex`: they record the
 graph :attr:`~repro.graph.labeled_graph.LabeledGraph.version` they were
 built against and :meth:`repro.serving.workspace.GraphWorkspace.language_index`
-rebuilds them lazily when the graph mutates, so callers can never
+catches them up lazily when the graph mutates, so callers can never
 observe stale languages.
 """
 
@@ -151,12 +151,14 @@ class PrefixIdArena:
 class LanguageIndex:
     """Bitset snapshot of every node's bounded path language.
 
-    Built once per ``(graph.version, max_length)`` by one breadth-first
-    sweep per node (the same distinct-word frontier walk as
-    :func:`repro.graph.paths.words_from`, but interning into the shared
-    arena instead of materialising tuples).  All word sets handed out are
-    Python ints indexed by arena word id; all node sets are ints indexed
-    by position in :attr:`nodes`.
+    One private walk fills it: a breadth-first sweep per node (the same
+    distinct-word frontier walk as :func:`repro.graph.paths.words_from`,
+    but interning into the shared arena instead of materialising tuples).
+    The constructor walks every node; :meth:`refreshed` walks only the
+    nodes a journaled change can reach; :meth:`restricted` derives a
+    smaller bound by masking, without walking.  All word sets handed out
+    are Python ints indexed by arena word id; all node sets are ints
+    indexed by position in :attr:`nodes`.
     """
 
     __slots__ = (
@@ -176,6 +178,8 @@ class LanguageIndex:
     __workspace_hook__ = "workspace.language_index"
 
     def __init__(self, graph: LabeledGraph, max_length: int):
+        if max_length < 1:
+            raise ValueError(f"a path-length bound must be at least 1, not {max_length}")
         self.version: int = graph.version
         self.max_length: int = max_length
         self.arena = PrefixIdArena()
@@ -193,15 +197,27 @@ class LanguageIndex:
         for rank, position in enumerate(self.str_order):
             ranks[position] = rank
         self.str_ranks: Tuple[int, ...] = tuple(ranks)
-        self._languages: Dict[Node, int] = {}
+        #: node -> language bitset; empty until the walk below fills it
+        self._languages: Dict[Node, int] = dict.fromkeys(self.nodes, 0)
         #: word id -> bitset of node positions that can spell the word
         self._spellers: Dict[int, int] = {}
         self._length_masks: Optional[List[int]] = None
+        self._walk(graph, self.nodes)
 
-        arena = self.arena
+    def _walk(self, graph: LabeledGraph, nodes: Iterable[Node]) -> None:
+        """Recompute the languages of ``nodes`` on ``graph`` in place.
+
+        Each (end, label) bucket of the adjacency extends a frontier word
+        by one label.  Spellers change by the difference between a node's
+        new and previous language; on a build the previous one is empty.
+        """
+        extend = self.arena.extend
+        succ = graph._succ
+        languages = self._languages
         spellers = self._spellers
-        for position, node in enumerate(self.nodes):
-            node_bit = 1 << position
+        positions = self.node_positions
+        max_length = self.max_length
+        for node in nodes:
             language = 0
             # frontier: word id -> set of nodes reachable by spelling it
             frontier: Dict[int, Set[Node]] = {0: {node}}
@@ -209,20 +225,27 @@ class LanguageIndex:
                 next_frontier: Dict[int, Set[Node]] = {}
                 for word_id, ends in frontier.items():
                     for end in ends:
-                        for label, target in graph.out_edges(end):
-                            extended = arena.extend(word_id, label)
+                        for label, targets in succ[end].items():
+                            extended = extend(word_id, label)
                             bucket = next_frontier.get(extended)
                             if bucket is None:
-                                next_frontier[extended] = {target}
+                                next_frontier[extended] = set(targets)
                             else:
-                                bucket.add(target)
+                                bucket |= targets
                 if not next_frontier:
                     break
                 for word_id in next_frontier:
                     language |= 1 << word_id
-                    spellers[word_id] = spellers.get(word_id, 0) | node_bit
                 frontier = next_frontier
-            self._languages[node] = language
+            node_bit = 1 << positions[node]
+            # a word of exactly one of the two languages flips the node's bit
+            for word_id in iter_bits(language ^ languages[node]):
+                flipped = spellers.get(word_id, 0) ^ node_bit
+                if flipped:
+                    spellers[word_id] = flipped
+                else:
+                    del spellers[word_id]
+            languages[node] = language
 
     # ------------------------------------------------------------------
     # languages and covers
@@ -391,7 +414,7 @@ class LanguageIndex:
         bitset — no graph traversal.  Arena, node table and speller sets
         are shared with the parent.
         """
-        if max_length > self.max_length:
+        if not 1 <= max_length <= self.max_length:
             raise ValueError(
                 f"cannot restrict a bound-{self.max_length} index to {max_length}"
             )
@@ -399,100 +422,61 @@ class LanguageIndex:
         keep = 0
         for length in range(1, max_length + 1):
             keep |= parent_masks[length]
-        view = object.__new__(LanguageIndex)
-        view.version = self.version
-        view.max_length = max_length
-        view.arena = self.arena
-        view.nodes = self.nodes
-        view.node_positions = self.node_positions
-        view.str_order = self.str_order
-        view.str_ranks = self.str_ranks
-        view._languages = {
-            node: language & keep for node, language in self._languages.items()
-        }
-        view._spellers = self._spellers
+        languages = {node: language & keep for node, language in self._languages.items()}
+        view = self._sibling(self.version, max_length, languages, self._spellers)
         view._length_masks = parent_masks[: max_length + 1]
         return view
+
+    def _sibling(self, version: int, max_length: int, languages: Dict, spellers: Dict) -> "LanguageIndex":
+        """An index over this one's arena and node tables with its own languages."""
+        sibling = object.__new__(LanguageIndex)
+        sibling.version = version
+        sibling.max_length = max_length
+        sibling.arena = self.arena  # append-only: existing word ids stay valid
+        sibling.nodes = self.nodes
+        sibling.node_positions = self.node_positions
+        sibling.str_order = self.str_order
+        sibling.str_ranks = self.str_ranks
+        sibling._languages = languages
+        sibling._spellers = spellers
+        sibling._length_masks = None
+        return sibling
 
     # ------------------------------------------------------------------
     # delta refresh
     # ------------------------------------------------------------------
-    def refreshed(self, graph: LabeledGraph, deltas: Tuple) -> Optional["LanguageIndex"]:
-        """An index at ``graph.version`` rescoring only delta-reachable nodes.
+    def refreshed(self, graph: LabeledGraph) -> Optional["LanguageIndex"]:
+        """This index caught up with ``graph`` through its delta journal.
 
         A node's bounded language can change only if the node reaches the
         source of a changed edge within ``max_length - 1`` forward hops —
-        so only nodes in the backward BFS cone of the delta seeds get
-        their frontier walk redone; every other node's bitset is carried
-        over verbatim.  The shared :class:`PrefixIdArena` is append-only, so
-        word ids stay stable and views of this index remain valid.
+        so only nodes in the backward BFS cone of the delta seeds are
+        walked again; every other node's bitset is carried over verbatim.
+        The shared :class:`PrefixIdArena` is append-only, so word ids stay
+        stable and views of this index remain valid.
 
-        Returns ``None`` when a delta changed the node set (languages and
-        spellers are positional bitsets over the node table) or was
-        recorded opaquely — the caller then rebuilds from scratch.
+        Returns ``self`` when current, and ``None`` when
+        :meth:`LabeledGraph.deltas_since
+        <repro.graph.labeled_graph.LabeledGraph.deltas_since>` cannot
+        bridge the gap or a delta changed the node set (languages and
+        spellers are positional bitsets over the node table) — the caller
+        then rebuilds from scratch.
         """
         if graph.version == self.version:
             return self
+        deltas = graph.deltas_since(self.version)
         if not deltas:
             return None
         seeds: Set[Node] = set()
         for delta in deltas:
-            if delta.nodes_changed or delta.opaque:
+            if delta.nodes_changed:
                 return None
             for source, _, _ in delta.edges_added:
                 seeds.add(source)
             for source, _, _ in delta.edges_removed:
                 seeds.add(source)
-        affected = _affected_nodes(graph, seeds, self.max_length)
-        fresh = object.__new__(LanguageIndex)
-        fresh.version = graph.version
-        fresh.max_length = self.max_length
-        fresh.arena = self.arena  # append-only: existing word ids stay valid
-        fresh.nodes = self.nodes
-        fresh.node_positions = self.node_positions
-        fresh.str_order = self.str_order
-        fresh.str_ranks = self.str_ranks
-        languages = dict(self._languages)
-        spellers = dict(self._spellers)
-        fresh._languages = languages
-        fresh._spellers = spellers
-        fresh._length_masks = None
-        arena = fresh.arena
-        node_positions = fresh.node_positions
-        max_length = self.max_length
-        for node in affected:
-            position = node_positions.get(node)
-            if position is None:
-                continue
-            node_bit = 1 << position
-            language = 0
-            frontier: Dict[int, Set[Node]] = {0: {node}}
-            for _ in range(max_length):
-                next_frontier: Dict[int, Set[Node]] = {}
-                for word_id, ends in frontier.items():
-                    for end in ends:
-                        for label, target in graph.out_edges(end):
-                            extended = arena.extend(word_id, label)
-                            bucket = next_frontier.get(extended)
-                            if bucket is None:
-                                next_frontier[extended] = {target}
-                            else:
-                                bucket.add(target)
-                if not next_frontier:
-                    break
-                for word_id in next_frontier:
-                    language |= 1 << word_id
-                frontier = next_frontier
-            old_language = languages[node]
-            for word_id in iter_bits(language & ~old_language):
-                spellers[word_id] = spellers.get(word_id, 0) | node_bit
-            for word_id in iter_bits(old_language & ~language):
-                remaining = spellers.get(word_id, 0) & ~node_bit
-                if remaining:
-                    spellers[word_id] = remaining
-                else:
-                    spellers.pop(word_id, None)
-            languages[node] = language
+        fresh = self._sibling(graph.version, self.max_length, dict(self._languages), dict(self._spellers))
+        fresh._walk(graph, _affected_nodes(graph, seeds, self.max_length))
         return fresh
 
     def __repr__(self) -> str:

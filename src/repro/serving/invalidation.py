@@ -40,12 +40,14 @@ WORKSPACE_HOOKS: Dict[str, str] = {
         "plan alphabet is disjoint from every touched label"
     ),
     # LanguageIndex: GraphWorkspace.language_index() and
-    # GraphWorkspace.refresh() call LanguageIndex.refreshed() to rescore
-    # only delta-reachable nodes, dropping to a scratch rebuild when the
-    # journal cannot bridge.
+    # GraphWorkspace.refresh() call LanguageIndex.refreshed() on a graph's
+    # largest bound held, which rescores only delta-reachable nodes, and
+    # restrict that index to every smaller bound; they drop to a scratch
+    # rebuild when the journal cannot bridge.
     "workspace.language_index": (
-        "GraphWorkspace.refresh() / language_index() — rescores only "
-        "nodes within max_length-1 backward hops of a delta seed"
+        "GraphWorkspace.refresh() / language_index() — rescores the largest "
+        "bound held at nodes within max_length-1 backward hops of a delta "
+        "seed and restricts it to every smaller bound"
     ),
     # NeighborhoodIndex: refresh() drops only layer structures whose
     # explored region intersects the touched nodes; driven by its own

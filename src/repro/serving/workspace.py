@@ -147,10 +147,13 @@ class GraphWorkspace:
         """The shared :class:`LanguageIndex` of ``graph`` at ``max_length``.
 
         Built at most once per ``(graph, version, bound)`` even under
-        concurrent access; when a current index at a *larger* bound
-        already exists, the smaller one is derived by restriction instead
-        of re-walking the graph (the session's path-validation step asks
-        for each neighbourhood radius below the session bound).
+        concurrent access.  A miss catches the largest bound held at or
+        above ``max_length`` up through the delta journal
+        (:meth:`LanguageIndex.refreshed
+        <repro.learning.language_index.LanguageIndex.refreshed>`) and
+        restricts it when larger (path validation asks for each radius
+        below the session bound).  It builds only when there is no such
+        entry or the journal cannot bridge it, and then drops that entry.
 
         Failure-safe: if the build raises, the per-key lock is released,
         nothing is cached, and the next caller retries the build.
@@ -170,31 +173,18 @@ class GraphWorkspace:
                 if index is not None:
                     self._language_hits += 1
                     return index
-                per_graph_entries = self._language.get(graph, {})
-                larger = [
-                    cached
-                    for bound, cached in per_graph_entries.items()
-                    if bound > max_length and cached.version == graph.version
-                ]
-                stale = per_graph_entries.get(max_length)
+                held = self._language.get(graph, {})
+                largest = max((bound for bound in held if bound >= max_length), default=None)
+                source = held.get(largest)
             try:
                 self._check_fault("workspace.language_index")
-                index = None
-                kind = "build"
-                if stale is not None:
-                    # try the delta journal first: rescoring the nodes a
-                    # delta can reach is far cheaper than a full walk
-                    deltas = graph.deltas_since(stale.version)
-                    if deltas:
-                        index = stale.refreshed(graph, deltas)
-                        if index is not None:
-                            kind = "refresh"
-                if index is None and larger:
-                    source = min(larger, key=lambda cached: cached.max_length)
-                    index = source.restricted(max_length)
-                    kind = "restrict"
-                if index is None:
+                parent = source.refreshed(graph) if source is not None else None
+                if parent is None:
                     index = LanguageIndex(graph, max_length)
+                elif largest > max_length:
+                    index = parent.restricted(max_length)
+                else:
+                    index = parent
             except BaseException:
                 self._record_failed_build(key)
                 raise
@@ -202,13 +192,18 @@ class GraphWorkspace:
                 per_graph = self._language.get(graph)
                 if per_graph is None:
                     per_graph = self._language.setdefault(graph, {})
-                per_graph[max_length] = index
-                if kind == "refresh":
-                    self._language_refreshes += 1
-                elif kind == "restrict":
-                    self._language_restrictions += 1
-                else:
+                if parent is None:
                     self._language_builds += 1
+                    if source is not None and per_graph.get(largest) is source:
+                        del per_graph[largest]  # the journal cannot bridge it
+                else:
+                    if parent is not source:
+                        self._language_refreshes += 1
+                        if per_graph.get(largest) is source:
+                            per_graph[largest] = parent
+                    if index is not parent:
+                        self._language_restrictions += 1
+                per_graph[max_length] = index
         return index
 
     def _current_language_index(
@@ -324,9 +319,11 @@ class GraphWorkspace:
         consults :meth:`LabeledGraph.deltas_since
         <repro.graph.labeled_graph.LabeledGraph.deltas_since>` and
 
-        * **rescopes** each stale :class:`LanguageIndex` to the
-          delta-reachable nodes (:meth:`LanguageIndex.refreshed
-          <repro.learning.language_index.LanguageIndex.refreshed>`),
+        * **walks** only the largest :class:`LanguageIndex` bound held
+          for the graph, over the delta-reachable nodes
+          (:meth:`LanguageIndex.refreshed
+          <repro.learning.language_index.LanguageIndex.refreshed>`), and
+          replaces every smaller stale bound with a restriction of it,
         * **retains** every engine answer whose plan the deltas cannot
           have changed (:meth:`QueryEngine.refresh
           <repro.query.engine.QueryEngine.refresh>`),
@@ -337,13 +334,16 @@ class GraphWorkspace:
           definition).
 
         When the journal cannot bridge the gap — window exceeded, opaque
-        batch, or a disabled journal — every layer drops its stale entries
-        instead.  Refreshing is not a correctness requirement: every
-        registry checks the version on access anyway.  With a ``graph``,
-        only that graph's entries are touched; without one, every graph
-        that a registry or the engine holds entries for is refreshed.
+        batch, a disabled journal, or for the language indexes a changed
+        node set — every layer drops its stale entries instead.
+        Refreshing is not a correctness requirement: every registry
+        checks the version on access anyway.  With a ``graph``, only that
+        graph's entries are touched; without one, every graph that a
+        registry or the engine holds entries for is refreshed.
 
-        Returns counters of what was refreshed, retained and dropped.
+        Returns counters of what was refreshed, retained and dropped;
+        ``language_indexes_refreshed`` counts every language entry brought
+        up to date in place, walked or restricted.
         """
         counters = {
             "language_indexes_refreshed": 0,
@@ -375,34 +375,33 @@ class GraphWorkspace:
     def _refresh_graph(self, target: LabeledGraph, counters: Dict[str, int]) -> None:
         """Refresh one graph's registries, not the engine (counters updated in place)."""
         with self._lock:
-            per_graph = self._language.get(target)
-            stale = (
-                [
-                    (bound, index)
-                    for bound, index in per_graph.items()
-                    if index.version != target.version
-                ]
-                if per_graph is not None
-                else []
-            )
+            held = dict(self._language.get(target, {}))
             neighborhoods = self._neighborhoods.get(target)
-        # language upgrades run outside the registry lock (never hold it
-        # across a build); the identity re-check below makes losing a race
-        # benign.
-        for bound, index in stale:
-            deltas = target.deltas_since(index.version)
-            fresh = index.refreshed(target, deltas) if deltas else None
+        stale = [bound for bound, index in held.items() if index.version != target.version]
+        if stale:
+            # walk the largest bound only, restrict it to the others, all outside the
+            # registry lock; the identity re-check below makes losing a race benign
+            largest = max(held)
+            parent = held[largest].refreshed(target)
+            upgrades = {
+                bound: parent if parent is None or bound == largest else parent.restricted(bound)
+                for bound in stale
+            }
             with self._lock:
-                registry = self._language.get(target)
-                if registry is None or registry.get(bound) is not index:
-                    continue  # replaced or dropped by a concurrent caller
-                if fresh is None:
-                    del registry[bound]
-                    counters["language_indexes_dropped"] += 1
-                else:
+                registry = self._language.get(target, {})
+                for bound, fresh in upgrades.items():
+                    if registry.get(bound) is not held[bound]:
+                        continue  # replaced or dropped by a concurrent caller
+                    if fresh is None:
+                        del registry[bound]
+                        counters["language_indexes_dropped"] += 1
+                        continue
                     registry[bound] = fresh
                     counters["language_indexes_refreshed"] += 1
-                    self._language_refreshes += 1
+                    if bound == largest:
+                        self._language_refreshes += 1
+                    else:
+                        self._language_restrictions += 1
         with self._lock:
             cached = self._fingerprints.get(target)
             if cached is not None and cached[0] != target.version:

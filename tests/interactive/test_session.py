@@ -286,3 +286,73 @@ class TestZoomLadder:
         assert states
         for state in states.values():
             assert len(state.layers) <= shown[state.center] + 2, state.center
+
+
+#: one session per goal family on a random graph, then a session after
+#: each of a few churn ticks; prints every trace as one JSON document
+HASH_SEED_PROBE = """
+import json
+from repro.interactive.oracle import SimulatedUser
+from repro.interactive.session import InteractiveSession
+from repro.serving.workspace import GraphWorkspace
+from repro.workloads.churn import ChurnStream
+from repro.workloads.queries import generate_workload
+
+stream = ChurnStream(
+    node_count=300, alphabet="abcd", window=900, churn=2, tick_count=5, seed=3, name="hash-seed"
+)
+graph = stream.initial_graph()
+workspace = GraphWorkspace()
+goals = [goal.query for goal in generate_workload(graph, per_family=1, seed=3)]
+
+
+def trace(goal):
+    user = SimulatedUser(graph, goal, workspace=workspace)
+    result = InteractiveSession(
+        graph, user, max_path_length=3, path_validation=True, workspace=workspace
+    ).run()
+    return {
+        "trace": result.interaction_trace(),
+        "validated": [record.validated_word for record in result.records],
+        "learned": str(result.learned_query),
+        "halted_by": result.halted_by,
+    }
+
+
+traces = [trace(goal) for goal in goals]
+for tick in stream.ticks():
+    tick.apply(graph)
+    workspace.refresh(graph)
+    traces.append(trace(goals[tick.tick % len(goals)]))
+print(json.dumps({"goals": len(goals), "traces": traces}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_session_traces_do_not_depend_on_the_hash_seed(self):
+        """Word ids follow set iteration order, which ``PYTHONHASHSEED``
+        salts; no session output may depend on them."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        outputs = []
+        for hash_seed in ("0", "1", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH="src")
+            result = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=root,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        probe = json.loads(outputs[0])
+        assert probe["goals"] == 7  # one goal per family
+        assert any(entry["trace"] for entry in probe["traces"])
+        assert any(any(entry["validated"]) for entry in probe["traces"])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

@@ -159,6 +159,34 @@ class TestLanguageIndex:
         with pytest.raises(ValueError):
             language_index_for(figure1_graph, 2).restricted(3)
 
+    @pytest.mark.parametrize("bound", [0, -2])
+    def test_build_rejects_bound_below_one(self, figure1_graph, bound):
+        with pytest.raises(ValueError):
+            LanguageIndex(figure1_graph, bound)
+
+    @pytest.mark.parametrize("bound", [0, -2])
+    def test_restricted_rejects_bound_below_one(self, figure1_graph, bound):
+        # a negative bound used to slice the parent's length masks from
+        # the end, leaving a view with words of length 1
+        with pytest.raises(ValueError):
+            LanguageIndex(figure1_graph, 3).restricted(bound)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_session_and_learner_reject_bound_below_one(self, figure1_graph, warm):
+        # a warm workspace serves the bound by restriction, a cold one builds it
+        workspace = GraphWorkspace()
+        if warm:
+            workspace.language_index(figure1_graph, 4)
+        user = SimulatedUser(figure1_graph, "bus", workspace=workspace)
+        with pytest.raises(ValueError):
+            InteractiveSession(figure1_graph, user, max_path_length=-1, workspace=workspace).run()
+        examples = ExampleSet()
+        examples.add_positive("N2")
+        examples.add_negative("N1")
+        learner = PathQueryLearner(figure1_graph, max_path_length=-3, workspace=workspace)
+        with pytest.raises(ValueError):
+            learner.learn(examples)
+
     def test_smaller_bound_served_from_larger_cached_index(self, figure1_graph):
         larger = language_index_for(figure1_graph, 4)
         smaller = language_index_for(figure1_graph, 3)
@@ -170,8 +198,9 @@ class TestLanguageIndex:
             )
 
     def test_refreshed_restricted_view_matches_fresh_index(self, figure1_graph):
-        # a delta refresh of a restricted view recomputes its length masks
-        # over the shared arena, longer words included
+        # the stale view is re-derived from its delta-refreshed parent, and
+        # its length masks come from the parent's over the shared arena,
+        # longer words included
         workspace = GraphWorkspace()
         workspace.language_index(figure1_graph, 4)
         workspace.language_index(figure1_graph, 3)

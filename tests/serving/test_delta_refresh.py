@@ -30,6 +30,13 @@ def random_tick(rng: random.Random, graph: LabeledGraph, *, churn: int = 4):
     graph.apply_delta(add_edges=admit, remove_edges=retire)
 
 
+def picked_by_node(index: LanguageIndex, banned_nodes) -> dict:
+    """``pick_words`` over every node, outside the cover of ``banned_nodes``."""
+    everyone = (1 << len(index.nodes)) - 1
+    picked = index.pick_words(everyone, index.cover(banned_nodes))
+    return {index.nodes[position]: word for position, word in picked.items()}
+
+
 def assert_language_index_matches_scratch(index: LanguageIndex, graph: LabeledGraph):
     scratch = LanguageIndex(graph, index.max_length)
     assert index.version == graph.version
@@ -38,6 +45,19 @@ def assert_language_index_matches_scratch(index: LanguageIndex, graph: LabeledGr
         assert index.decode(index.language(node)) == scratch.decode(
             scratch.language(node)
         ), f"language of {node!r} diverged from scratch rebuild"
+        for length in range(index.max_length + 2):
+            assert index.decode(index.language(node) & index.length_mask(length)) == (
+                scratch.decode(scratch.language(node) & scratch.length_mask(length))
+            ), f"length-{length} words of {node!r} diverged from scratch rebuild"
+    # the arena may also hold words no node spells any more, or longer
+    # words of a parent index: nobody spells those within the bound
+    for word_id in range(1, len(index.arena)):
+        scratch_id = scratch.arena.lookup(index.arena.word_of(word_id))
+        expected = set() if scratch_id is None else set(scratch.nodes_of(scratch.spellers(scratch_id)))
+        assert set(index.nodes_of(index.spellers(word_id))) == expected
+    banned = sorted(scratch.nodes, key=str)[:3]
+    for banned_nodes in ((), banned):
+        assert picked_by_node(index, banned_nodes) == picked_by_node(scratch, banned_nodes)
     # internal consistency: spellers must mirror the languages exactly
     for position, node in enumerate(index.nodes):
         language = index.language(node)
@@ -58,16 +78,36 @@ def assert_same_fragment(kept, fresh):
 
 class TestLanguageIndexProperty:
     @pytest.mark.parametrize("seed", [7, 23, 91])
-    def test_refresh_equals_scratch_over_random_ticks(self, seed):
+    def test_refresh_equals_scratch_over_random_ticks(self, seed, monkeypatch):
         rng = random.Random(seed)
         graph = random_graph(18, 40, ALPHABET, seed=seed)
         workspace = GraphWorkspace()
-        workspace.language_index(graph, BOUND)
-        for _ in range(6):
-            random_tick(rng, graph)
-            workspace.refresh(graph)
-            index = workspace.language_index(graph, BOUND)
-            assert_language_index_matches_scratch(index, graph)
+        refreshed = LanguageIndex.refreshed
+
+        def refreshed_at_largest_bound(index, target, *args):
+            # every smaller bound is a restriction of the largest one held,
+            # never walked through the journal on its own
+            assert index.max_length == max(workspace._language[target])
+            return refreshed(index, target, *args)
+
+        monkeypatch.setattr(LanguageIndex, "refreshed", refreshed_at_largest_bound)
+        bounds = [1, 2, 3, 4]
+        for tick in range(7):
+            if tick:
+                if seed == 91 and tick in (3, 4):
+                    # the node set changes: every bound is built again
+                    graph.apply_delta(add_nodes=[f"fresh{tick}"], remove_nodes=[f"n{tick}"])
+                else:
+                    random_tick(rng, graph)
+                if tick % 2:  # odd ticks refresh, even ones upgrade on access
+                    workspace.refresh(graph)
+                    for index in workspace._language[graph].values():
+                        assert_language_index_matches_scratch(index, graph)
+            rng.shuffle(bounds)
+            for bound in bounds:
+                index = workspace.language_index(graph, bound)
+                assert_language_index_matches_scratch(index, graph)
+        assert sorted(workspace._language[graph]) == [1, 2, 3, 4]
         # at least some ticks must have taken the delta path, or this
         # test silently degrades into rebuild-vs-rebuild
         assert workspace.stats()["language_index_refreshes"] > 0

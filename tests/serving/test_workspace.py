@@ -1,12 +1,17 @@
 """Tests for the shared GraphWorkspace (build-once caches, refresh)."""
 
 import gc
+import os
+import random
+import sys
 import threading
 import weakref
 
+from repro.graph.generators import random_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
+from repro.learning.language_index import LanguageIndex
 from repro.query.engine import QueryEngine
 from repro.serving import GraphWorkspace, default_workspace, reset_default_workspace
 
@@ -86,6 +91,47 @@ class TestRefresh:
         assert counters["language_indexes_refreshed"] + counters["language_indexes_dropped"] == 2
         for graph in (tiny_graph, other):
             assert all(index.version == graph.version for index in workspace._language[graph].values())
+
+
+    def test_concurrent_misses_and_refresh_stay_exact(self):
+        """Readers at every bound race one refresh() after each mutation;
+        whatever wins, every index served and held is current and exact."""
+        graph = random_graph(40, 120, "xyz", seed=8)
+        workspace = GraphWorkspace()
+        bounds = (1, 2, 3, 4)
+        for bound in bounds:
+            workspace.language_index(graph, bound)
+        rng = random.Random(8)
+        readers = [bounds[i % len(bounds)] for i in range(2 * (os.cpu_count() or 2) + len(bounds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                nodes = sorted(graph.nodes(), key=str)
+                graph.apply_delta(
+                    add_edges=[(rng.choice(nodes), rng.choice("xyz"), rng.choice(nodes)) for _ in range(3)],
+                    remove_edges=rng.sample(sorted(graph.edges()), 3),
+                )
+                served = []
+                threads = [threading.Thread(target=workspace.refresh, args=(graph,))] + [
+                    threading.Thread(target=lambda b=bound: served.append(workspace.language_index(graph, b)))
+                    for bound in readers
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(served) == len(readers)
+                held = list(workspace._language[graph].values())
+                assert sorted(index.max_length for index in held) == list(bounds)
+                for index in served + held:
+                    scratch = LanguageIndex(graph, index.max_length)
+                    assert index.version == graph.version
+                    for node in scratch.nodes:
+                        assert index.decode(index.language(node)) == scratch.decode(scratch.language(node))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFingerprints:

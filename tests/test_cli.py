@@ -85,6 +85,24 @@ class TestLearn:
         assert code == 1
         assert "error:" in captured.err
 
+    def test_learn_rejects_path_bound_below_one(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(
+                [
+                    "learn",
+                    "--dataset",
+                    "figure-1",
+                    "--positive",
+                    "N2",
+                    "--negative",
+                    "N1",
+                    "--max-path-length",
+                    "-3",
+                ]
+            )
+        assert raised.value.code == 2
+        assert "--max-path-length" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_simulate_on_figure1(self, capsys):
@@ -121,6 +139,23 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(target.read_text())
         assert payload["entries"]
+
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_simulate_rejects_path_bound_below_one(self, bound, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(
+                [
+                    "simulate",
+                    "--dataset",
+                    "figure-1",
+                    "--goal",
+                    "bus",
+                    "--max-path-length",
+                    bound,
+                ]
+            )
+        assert raised.value.code == 2
+        assert "--max-path-length" in capsys.readouterr().err
 
     def test_simulate_strategy_choice_validated(self):
         with pytest.raises(SystemExit):

@@ -136,7 +136,7 @@ EXPECTED_PARAMETERS = [
     (zoom_out, {"graph", "neighborhood", "step"}),
     (neighborhood_chain, {"graph", "center", "radii"}),
     (eccentricity_bound, {"graph", "center"}),
-    (LanguageIndex.refreshed, {"self", "graph", "deltas"}),
+    (LanguageIndex.refreshed, {"self", "graph"}),
     (QueryEngine, set()),
     (CanonicalFormCache, set()),
     (LintConfig, {"select", "allow"}),
