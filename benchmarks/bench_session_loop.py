@@ -194,7 +194,6 @@ def _run_legacy_session(graph, goal, *, engine=None):
     engine = engine or QueryEngine()
     user = SimulatedUser(graph, goal, engine=engine)
     examples = ExampleSet()
-    learner = _SeedLearner(graph, max_path_length=MAX_PATH_LENGTH, engine=engine)
     halt = AnyOf([UserSatisfied(user.goal_answer), MaxInteractions(MAX_INTERACTIONS)])
     hypothesis = None
     trace = []
@@ -249,6 +248,9 @@ def _run_legacy_session(graph, goal, *, engine=None):
             examples.add_negative(node)
 
         _seed_propagate_to_fixpoint(graph, examples, MAX_PATH_LENGTH)
+        # a fresh learner per interaction re-learns from scratch, so the
+        # current session's skipped re-learns are compared with full ones
+        learner = _SeedLearner(graph, max_path_length=MAX_PATH_LENGTH, engine=engine)
         try:
             hypothesis = learner.learn(examples).query
         except InconsistentExamplesError:

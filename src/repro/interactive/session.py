@@ -145,8 +145,9 @@ class InteractiveSession:
             workspace = default_workspace()
         #: the GraphWorkspace every shared component is drawn from
         self.workspace = workspace
-        #: query engine shared by the learner, halt conditions and metrics
-        #: of this session — one answer cache for the whole loop
+        #: query engine shared by the halt conditions, metrics and the
+        #: learner's fallback consistency check of this session — one
+        #: answer cache for the whole loop
         self.engine = workspace.engine
         #: incremental neighbourhood/zoom index shared by the session's
         #: zoom ladder and the figure harness — one BFS per

@@ -60,8 +60,9 @@ def check_consistency(
     """Full consistency check of ``query`` against ``examples`` on ``graph``.
 
     The answer set is computed through ``engine`` (default: the shared
-    engine), so checking the same hypothesis repeatedly — as the
-    interactive loop does after every label — hits the answer cache.
+    engine), so checking the same hypothesis repeatedly hits the answer
+    cache.  The learner certifies its own results and calls this only to
+    explain one whose certificate fails; it stays the reference check.
     """
     if isinstance(query, PathQuery):
         dfa = query.dfa

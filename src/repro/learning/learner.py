@@ -14,6 +14,13 @@ available, the validated path of each positive node):
 The result is wrapped as a :class:`~repro.query.rpq.PathQuery` whose
 regular expression is synthesised from the learned DFA.
 
+Neither step evaluates a query over the graph.  The learner certifies
+the consistency of its result with a few bit tests against the language
+index, and :func:`check_consistency` runs only to explain a result whose
+certificate fails.  Between interactions the learner re-learns only when
+a label can change the hypothesis: negatives the current hypothesis
+already rejects leave both steps' result unchanged.
+
 :class:`PathQueryLearner` keeps the graph and options; :func:`learn_query`
 is a functional convenience wrapper.
 """
@@ -21,11 +28,11 @@ is a functional convenience wrapper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.automata.dfa import DFA, word_sort_key
 from repro.automata.state_merging import generalize_pta
-from repro.exceptions import InconsistentExamplesError, NoConsistentPathError
+from repro.exceptions import InconsistentExamplesError, NoConsistentPathError, NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.learning.consistency import ConsistencyReport, check_consistency
 from repro.learning.examples import ExampleSet, Word
@@ -79,11 +86,15 @@ class PathQueryLearner:
 
             workspace = default_workspace()
         self.workspace = workspace
-        #: query engine used for the consistency check of every learned
-        #: query; an explicit ``engine`` wins over the workspace's
-        #: (benchmarks isolate the engine while sharing the workspace's
-        #: language index this way)
+        #: query engine that explains a learned query whose consistency
+        #: certificate fails (:func:`check_consistency`); an explicit
+        #: ``engine`` wins over the workspace's (benchmarks isolate the
+        #: engine while sharing the workspace's language index this way)
         self.engine = engine if engine is not None else workspace.engine
+        #: the last successful call: ``((examples, graph, graph.version,
+        #: max_path_length, generalize), history length, outcome)``;
+        #: ExampleSet and LabeledGraph compare by identity
+        self._last_call: Optional[Tuple[tuple, int, LearningOutcome]] = None
 
     # ------------------------------------------------------------------
     # step (i): choose one uncovered word per positive node
@@ -139,18 +150,61 @@ class PathQueryLearner:
 
         With an empty positive set the learner returns the empty query
         (selects nothing), which is trivially consistent with any set of
-        negative-only examples.
+        negative-only examples.  A negative absent from the graph raises
+        :class:`NodeNotFoundError` (the first one in ``str`` order).
+
+        When every label added to the same example set since the last
+        call is a negative that the last hypothesis does not select, and
+        the graph version and options are unchanged, the last outcome is
+        returned as it is.  This is exact: such negatives spell no sample
+        word, so step (i) picks the same words; and every merge step (ii)
+        accepted has a language inside the hypothesis, so it still selects
+        no negative, while a rejected merge stays rejected.
         """
+        last_call, self._last_call = self._last_call, None  # a call that raises forgets it
+        # read before the examples are: a label appended meanwhile is left to the next call
+        position = len(examples.history)
+        graph = self.graph
+        key = (examples, graph, graph.version, self.max_path_length, self.generalize)
+        same_key = last_call is not None and last_call[0] == key
+        if same_key and self._only_rejected_negatives(examples, last_call[1], last_call[2].dfa):
+            outcome = last_call[2]
+        else:
+            _raise_first_absent(graph, examples.negative_nodes)
+            outcome = self._learn(examples)
+        self._last_call = (key, position, outcome)
+        return outcome
+
+    def _only_rejected_negatives(self, examples: ExampleSet, position: int, dfa: DFA) -> bool:
+        """True when every label after ``position`` is a negative ``dfa`` does not select."""
+        events = examples.events_since(position)
+        if any(event.positive for event in events):
+            return False
+        negatives = [event.node for event in events]
+        _raise_first_absent(self.graph, negatives)
+        oracle = CompatibilityOracle(
+            self.graph,
+            negatives,
+            max_length=self.max_path_length,
+            index=self.workspace.language_index(self.graph, self.max_path_length),
+        )
+        return oracle.compatible(dfa)
+
+    def _learn(self, examples: ExampleSet) -> LearningOutcome:
+        """Both steps from scratch, with the consistency certificate."""
         sample_words = self.select_sample_words(examples)
         words = tuple(
             sorted(set(sample_words.values()), key=lambda word: (len(word), word_sort_key(word)))
         )
 
         if not words:
+            # no positive: the empty query selects nothing, so it misses
+            # no positive and selects no negative
             dfa = DFA(0)  # empty language
             query = PathQuery.from_dfa(dfa, name="empty", cache=self.workspace.canonical)
-            report = check_consistency(self.graph, query, examples, engine=self.engine)
-            return LearningOutcome(query, query.dfa, words, report, self.generalize)
+            return LearningOutcome(
+                query, query.dfa, words, ConsistencyReport(consistent=True), self.generalize
+            )
 
         if self.generalize:
             learned = generalize_pta(words, self._compatible(examples))
@@ -159,12 +213,56 @@ class PathQueryLearner:
 
             learned = build_pta(words)
         # from_dfa serves minimisation and regex synthesis from the
-        # workspace's canonical-form cache, so re-learning an unchanged
-        # hypothesis — the common case between interactions — does no
-        # automata work
+        # workspace's canonical-form cache, so a re-learn that returns a
+        # hypothesis seen before does no automata work
         query = PathQuery.from_dfa(learned, cache=self.workspace.canonical)
-        report = check_consistency(self.graph, query, examples, engine=self.engine)
+        if self._certified(examples):
+            report = ConsistencyReport(consistent=True)
+        else:
+            report = check_consistency(self.graph, query, examples, engine=self.engine)
         return LearningOutcome(query, query.dfa, words, report, self.generalize)
+
+    def _certified(self, examples: ExampleSet) -> bool:
+        """True when the construction proves the learned query consistent.
+
+        The learned DFA accepts every sample word, since merges only add
+        words.  It is the PTA or a merge the exact
+        :class:`CompatibilityOracle` accepted, and every merge contains
+        the PTA, so it selects a negative exactly when a negative spells a
+        sample word.  Step (i) picks words in their node's language and
+        outside the negative cover; a validated word needs the same two
+        bit tests.  A word the index cannot decide (the empty word beside
+        a negative, a word beyond the bound, a node absent from the graph)
+        fails the certificate.
+        """
+        validated = examples.validated_words()
+        if not validated:
+            return True
+        negatives = examples.negative_nodes
+        index = self.workspace.language_index(self.graph, self.max_path_length)
+        cover = index.cover(negatives)
+        for node, word in validated.items():
+            if node not in index or len(word) > self.max_path_length:
+                return False
+            if not word:
+                if negatives:
+                    return False  # every node spells the empty word
+                continue
+            word_id = index.arena.lookup(word)
+            if word_id is None or not index.language(node) >> word_id & 1 or cover >> word_id & 1:
+                return False
+        return True
+
+
+def _raise_first_absent(graph: LabeledGraph, negatives: Iterable[Node]) -> None:
+    """Raise :class:`NodeNotFoundError` for the first absent negative in ``str`` order.
+
+    Ignoring it would shrink the negative cover without a signal (see
+    :func:`~repro.learning.path_selection.covered_words`).
+    """
+    absent = sorted((node for node in negatives if node not in graph), key=str)
+    if absent:
+        raise NodeNotFoundError(absent[0])
 
 
 def learn_query(

@@ -1,10 +1,10 @@
 """Indexed, cached RPQ evaluation engine.
 
 The interactive loop of the paper evaluates the *same* handful of queries
-against the *same* graph over and over: every consistency check, oracle
-answer, halt test and quality metric re-runs the product fixed point from
-scratch.  This module concentrates all of that work behind one subsystem,
-:class:`QueryEngine`, built from three layers:
+against the *same* graph over and over: every oracle answer, halt test,
+quality metric and uncertified consistency check re-runs the product
+fixed point from scratch.  This module concentrates all of that work
+behind one subsystem, :class:`QueryEngine`, built from three layers:
 
 **Graph index** — evaluation runs on the integer-id, per-label CSR
 snapshot provided by :meth:`LabeledGraph.label_index

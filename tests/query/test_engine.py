@@ -383,20 +383,37 @@ class TestBatchEvaluator:
 class TestSharedEngineWiring:
     def test_session_threads_one_engine(self):
         from repro.graph.datasets import motivating_example
-        from repro.interactive.oracle import SimulatedUser
+        from repro.interactive.oracle import NoisyUser, SimulatedUser
         from repro.interactive.session import InteractiveSession
         from repro.serving.workspace import GraphWorkspace
+
+        def evaluations(engine):
+            stats = engine.stats()
+            return stats["answer_hits"] + stats["answer_misses"]
 
         engine = QueryEngine()
         graph = motivating_example()
         workspace = GraphWorkspace(engine=engine)
         user = SimulatedUser(graph, "(tram + bus)* . cinema", workspace=workspace)
+        before = evaluations(engine)
         session = InteractiveSession(graph, user, workspace=workspace)
         result = session.run()
         assert session.engine is engine
         assert session.learner.engine is engine
-        assert engine.stats()["answer_hits"] > 0
+        # a truthful user's labels certify every hypothesis consistent
+        assert evaluations(engine) == before
         assert engine.evaluate(graph, result.learned_query) == user.goal_answer
+
+        # a noisy negative covering a validated word fails the certificate,
+        # and the learner explains the hypothesis through the shared engine
+        engine = QueryEngine()
+        workspace = GraphWorkspace(engine=engine)
+        user = NoisyUser(graph, "tram", noise=0.15, seed=1, workspace=workspace)
+        misses = engine.stats()["answer_misses"]
+        session = InteractiveSession(graph, user, max_path_length=3, workspace=workspace)
+        result = session.run()
+        assert not all(record.hypothesis_consistent for record in result.records)
+        assert engine.stats()["answer_misses"] > misses
 
 
 class TestMixedLabelLearning:
