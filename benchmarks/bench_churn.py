@@ -25,6 +25,7 @@ import time
 
 from repro.graph.labeled_graph import GraphLabelIndex
 from repro.graph.neighborhood import NeighborhoodIndex
+from repro.graph.paths import words_from
 from repro.learning.language_index import LanguageIndex
 from repro.query.engine import QueryEngine
 from repro.serving.workspace import GraphWorkspace
@@ -91,14 +92,22 @@ def _run_ticks(stream: ChurnStream, *, journal_limit=None) -> float:
 # correctness gates
 # ----------------------------------------------------------------------
 def _assert_language_matches_scratch(workspace: GraphWorkspace, graph, bound: int) -> None:
-    """The workspace's language index at ``bound`` equals a from-scratch build."""
+    """The workspace's language index at ``bound`` equals a from-scratch build.
+
+    A scratch build runs the same walk as the refresh it checks, so every
+    language is also compared with the per-node reference walk.
+    """
     maintained = workspace.language_index(graph, bound)
     scratch = LanguageIndex(graph, bound)
     assert maintained.version == graph.version
     for node in scratch.nodes:
-        assert maintained.decode(maintained.language(node)) == scratch.decode(
+        language = maintained.decode(maintained.language(node))
+        assert language == scratch.decode(
             scratch.language(node)
         ), f"bound-{bound} language of {node!r} diverged from scratch"
+        assert language == words_from(
+            graph, node, bound
+        ), f"bound-{bound} language of {node!r} diverged from words_from"
 
 
 def _assert_matches_scratch(workspace: GraphWorkspace, graph, centers) -> None:

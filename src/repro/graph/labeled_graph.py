@@ -641,7 +641,8 @@ class GraphLabelIndex:
     graph they were built from and are replaced by
     :meth:`LabeledGraph.label_index` once the graph mutates.  When the
     delta journal can bridge the gap and only edges changed, the
-    replacement reuses the CSR pairs of every untouched label
+    replacement reuses the CSR pairs of every untouched label and, for a
+    touched one, every segment but those of its changed edges' targets
     (see :meth:`_refreshed`) instead of rebuilding the whole snapshot.
     """
 
@@ -678,6 +679,35 @@ class GraphLabelIndex:
             if sources:
                 indices.extend([node_ids[source] for source in sources])
             indptr.append(len(indices))
+        return indptr, indices
+
+    def _spliced_csr(
+        self, graph: "LabeledGraph", label: Label, targets: Set[Node]
+    ) -> Tuple[List[int], List[int]]:
+        """``label``'s pair on ``graph``, re-reading only the segments of ``targets``.
+
+        Every other node's segment is copied from this snapshot's pair
+        and its offsets shifted, so the result equals
+        :meth:`_reverse_csr` whenever no edge into any other node changed.
+        """
+        old_indptr, old_indices = self._rev[label]
+        node_ids = self.node_ids
+        pred = graph._pred
+        indptr: List[int] = [0]
+        indices: List[int] = []
+        copied = 0  # the first node id whose segment is not written yet
+        for target_id in sorted(node_ids[target] for target in targets):
+            shift = len(indices) - old_indptr[copied]
+            indices.extend(old_indices[old_indptr[copied] : old_indptr[target_id]])
+            indptr.extend([end + shift for end in old_indptr[copied + 1 : target_id + 1]])
+            sources = pred[self.nodes[target_id]].get(label)
+            if sources:
+                indices.extend([node_ids[source] for source in sources])
+            indptr.append(len(indices))
+            copied = target_id + 1
+        shift = len(indices) - old_indptr[copied]
+        indices.extend(old_indices[old_indptr[copied] :])
+        indptr.extend([end + shift for end in old_indptr[copied + 1 :]])
         return indptr, indices
 
     def _forward(self) -> Tuple[Tuple[Tuple[Label, int], ...], ...]:
@@ -731,26 +761,33 @@ class GraphLabelIndex:
         """A snapshot at ``graph.version`` reusing untouched-label CSRs.
 
         Node ids are positional, so any delta that changed the node set
-        forces a full rebuild (returns ``None``).  Otherwise only the
-        labels named by the deltas get their reverse CSR rebuilt; every
-        other ``(indptr, indices)`` pair is shared by identity with this
-        (now superseded) snapshot — sharing is safe because CSR pairs are
-        never mutated after construction.
+        forces a full rebuild (returns ``None``).  Otherwise every label
+        the deltas do not name keeps its ``(indptr, indices)`` pair, shared
+        by identity with this (now superseded) snapshot — sharing is safe
+        because CSR pairs are never mutated after construction.  A named
+        label is spliced (:meth:`_spliced_csr`): only the segments of the
+        targets of its changed edges are read again.  A label new to the
+        snapshot is built whole, and one whose last edge went is dropped.
         """
-        touched: Set[Label] = set()
+        targets_by_label: Dict[Label, Set[Node]] = {}
         for delta in deltas:
             if delta.nodes_changed:
                 return None
-            touched.update(delta.labels_touched)
+            for edges in (delta.edges_added, delta.edges_removed):
+                for _, label, target in edges:
+                    targets_by_label.setdefault(label, set()).add(target)
         fresh = object.__new__(GraphLabelIndex)
         fresh.version = graph.version
         fresh.nodes = self.nodes
         fresh.node_ids = self.node_ids
         fresh.node_count = self.node_count
         rev = dict(self._rev)
-        for label in touched:
-            rev.pop(label, None)
-            if label in graph._labels:
+        for label, targets in targets_by_label.items():
+            if label not in graph._labels:
+                rev.pop(label, None)
+            elif label in rev:
+                rev[label] = self._spliced_csr(graph, label, targets)
+            else:
                 rev[label] = fresh._reverse_csr(graph, label)
         fresh._rev = rev
         # forward adjacency is edge-dependent in full; rebuild lazily

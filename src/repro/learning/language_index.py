@@ -9,8 +9,10 @@ requirement that the system be "time-efficient between interactions"
 makes this the hottest loop in the repository.
 
 This module computes each language **once** per ``(graph.version,
-max_length)`` pair and re-represents it so that everything downstream is
-constant-factor bit arithmetic:
+max_length)`` pair, for every node together and one word length at a
+time (each node's words of length ``k`` are its successors' words of
+length ``k − 1`` with the edge label put in front), and re-represents it
+so that everything downstream is constant-factor bit arithmetic:
 
 * :class:`PrefixIdArena` — a shared trie interning every word into a
   dense integer id; a word's id is created by extending its longest
@@ -33,12 +35,14 @@ Indexes are value snapshots in the same sense as
 :class:`repro.graph.labeled_graph.GraphLabelIndex`: they record the
 graph :attr:`~repro.graph.labeled_graph.LabeledGraph.version` they were
 built against and :meth:`repro.serving.workspace.GraphWorkspace.language_index`
-catches them up lazily when the graph mutates, so callers can never
-observe stale languages.
+catches them up lazily when the graph mutates, re-deriving only the
+languages an edge change can reach, so callers can never observe stale
+languages.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.automata.dfa import DFA
@@ -85,10 +89,12 @@ class PrefixIdArena:
     with one label.  The arena therefore doubles as the prefix tree of
     every word it has interned, which is what lets a candidate DFA be
     intersected with a whole word set in one shared-prefix walk
-    (:meth:`CompatibilityOracle.compatible`).
+    (:meth:`CompatibilityOracle.compatible`).  Interning takes a lock, so
+    walks sharing an arena never give one id to two words; a lookup of a
+    word already interned takes none.
     """
 
-    __slots__ = ("_ids", "_parents", "_labels", "_lengths", "_children", "_words")
+    __slots__ = ("_ids", "_parents", "_labels", "_lengths", "_children", "_words", "_lock")
 
     def __init__(self):
         self._ids: Dict[Tuple[int, Label], int] = {}
@@ -98,6 +104,9 @@ class PrefixIdArena:
         self._children: List[List[Tuple[Label, int]]] = [[]]
         # decoded words, filled lazily by word_of
         self._words: List[Optional[Word]] = [()]
+        # an index, its refreshed successors and its views share one
+        # arena, so two walks may intern at once
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -107,14 +116,19 @@ class PrefixIdArena:
         key = (parent, label)
         word_id = self._ids.get(key)
         if word_id is None:
-            word_id = len(self._parents)
-            self._ids[key] = word_id
-            self._parents.append(parent)
-            self._labels.append(label)
-            self._lengths.append(self._lengths[parent] + 1)
-            self._children[parent].append((label, word_id))
-            self._children.append([])
-            self._words.append(None)
+            with self._lock:
+                word_id = self._ids.get(key)
+                if word_id is None:
+                    word_id = len(self._parents)
+                    self._labels.append(label)
+                    self._lengths.append(self._lengths[parent] + 1)
+                    self._children.append([])
+                    self._words.append(None)
+                    # an id is published only once all its entries exist:
+                    # len() reads _parents, lookup() reads _ids
+                    self._parents.append(parent)
+                    self._children[parent].append((label, word_id))
+                    self._ids[key] = word_id
         return word_id
 
     def lookup(self, word: Iterable[Label]) -> Optional[int]:
@@ -151,14 +165,16 @@ class PrefixIdArena:
 class LanguageIndex:
     """Bitset snapshot of every node's bounded path language.
 
-    One private walk fills it: a breadth-first sweep per node (the same
-    distinct-word frontier walk as :func:`repro.graph.paths.words_from`,
-    but interning into the shared arena instead of materialising tuples).
-    The constructor walks every node; :meth:`refreshed` walks only the
-    nodes a journaled change can reach; :meth:`restricted` derives a
-    smaller bound by masking, without walking.  All word sets handed out
-    are Python ints indexed by arena word id; all node sets are ints
-    indexed by position in :attr:`nodes`.
+    One private walk fills it: one pass per word length over all the
+    nodes walked, deriving their words of length ``k`` from their
+    successors' words of length ``k − 1`` and interning each word into the
+    shared arena once (:func:`repro.graph.paths.words_from` is the
+    per-node reference it must agree with).  The constructor walks every
+    node; :meth:`refreshed` walks only the nodes a journaled change can
+    reach; :meth:`restricted` derives a smaller bound by masking, without
+    walking.  Word ids come out by length, every length-1 word first.
+    All word sets handed out are Python ints indexed by arena word id;
+    all node sets are ints indexed by position in :attr:`nodes`.
     """
 
     __slots__ = (
@@ -205,41 +221,98 @@ class LanguageIndex:
         self._walk(graph, self.nodes)
 
     def _walk(self, graph: LabeledGraph, nodes: Iterable[Node]) -> None:
-        """Recompute the languages of ``nodes`` on ``graph`` in place.
+        """Recompute the languages of ``nodes`` on ``graph`` in place, one word length at a time.
 
-        Each (end, label) bucket of the adjacency extends a frontier word
-        by one label.  Spellers change by the difference between a node's
-        new and previous language; on a build the previous one is empty.
+        ``W_k(v)``, the words of exactly ``k`` labels spellable from ``v``,
+        is the empty word (bit 0) at ``k = 0``.  At ``k > 0`` it is the
+        union, over the ``(label, targets)`` buckets of the adjacency of
+        ``v``, of ``label`` put in front of the union of the targets'
+        ``W_{k−1}``.  A node's language is ``W_1 ∪ … ∪ W_max_length``.  A
+        successor outside ``nodes`` keeps its language (see
+        :func:`_affected_nodes`), so its ``W_{k−1}`` is the part of its
+        stored language of length ``k − 1``.
+
+        Putting a label in front of a word set is memoised per (label,
+        set) within a level, and per (label, word id) for the whole walk,
+        so :meth:`PrefixIdArena.extend` runs once per word put in front.
+        The parent of a word of ``W_{k−1}(u)`` lies in ``W_{k−2}(u)``, so
+        it was put in front of the same label one level earlier.  Spellers
+        change by the difference between a node's new and previous
+        language; on a build the previous one is empty.
         """
-        extend = self.arena.extend
+        arena = self.arena
+        extend = arena.extend
+        parents = arena._parents
+        last_labels = arena._labels
         succ = graph._succ
         languages = self._languages
+        max_length = self.max_length
+        walked = list(nodes)
+        inside = set(walked)
+        # the successors outside ``nodes``, in a deterministic order
+        boundary = dict.fromkeys(
+            target
+            for node in walked
+            for targets in succ[node].values()
+            for target in targets
+            if target not in inside
+        )
+        # layers[k]: the ids of the words of k labels interned before the walk
+        layers = [0] * (max_length + 1)
+        if boundary:
+            lengths = arena._lengths
+            for word_id in range(1, len(arena)):
+                if lengths[word_id] < max_length:
+                    layers[lengths[word_id]] |= 1 << word_id
+        # label -> word id -> id of label·word
+        fronts: Dict[Label, Dict[int, int]] = {label: {0: extend(0, label)} for label in graph._labels}
+        spelled = dict.fromkeys(walked, 0)
+        previous = dict.fromkeys([*walked, *boundary], 1)
+        for level in range(1, max_length + 1):
+            # label -> a union of the targets' words -> that union with label in front
+            fronted_unions: Dict[Label, Dict[int, int]] = {label: {} for label in fronts}
+            current: Dict[Node, int] = {}
+            for node in walked:
+                words = 0
+                for label, targets in succ[node].items():
+                    union = 0
+                    for target in targets:
+                        union |= previous[target]
+                    memo = fronted_unions[label]
+                    fronted = memo.get(union)
+                    if fronted is None:
+                        front = fronts[label]
+                        fronted = 0
+                        rest = union
+                        while rest:
+                            lowest = rest & -rest
+                            rest ^= lowest
+                            word_id = lowest.bit_length() - 1
+                            front_id = front.get(word_id)
+                            if front_id is None:
+                                front_id = front[word_id] = extend(
+                                    front[parents[word_id]], last_labels[word_id]
+                                )
+                            fronted |= 1 << front_id
+                        memo[union] = fronted
+                    words |= fronted
+                current[node] = words
+                spelled[node] |= words
+            layer = layers[level]
+            for target in boundary:
+                current[target] = languages[target] & layer
+            previous = current
         spellers = self._spellers
         positions = self.node_positions
-        max_length = self.max_length
-        for node in nodes:
-            language = 0
-            # frontier: word id -> set of nodes reachable by spelling it
-            frontier: Dict[int, Set[Node]] = {0: {node}}
-            for _ in range(max_length):
-                next_frontier: Dict[int, Set[Node]] = {}
-                for word_id, ends in frontier.items():
-                    for end in ends:
-                        for label, targets in succ[end].items():
-                            extended = extend(word_id, label)
-                            bucket = next_frontier.get(extended)
-                            if bucket is None:
-                                next_frontier[extended] = set(targets)
-                            else:
-                                bucket |= targets
-                if not next_frontier:
-                    break
-                for word_id in next_frontier:
-                    language |= 1 << word_id
-                frontier = next_frontier
+        for node in walked:
+            language = spelled[node]
             node_bit = 1 << positions[node]
             # a word of exactly one of the two languages flips the node's bit
-            for word_id in iter_bits(language ^ languages[node]):
+            rest = language ^ languages[node]
+            while rest:
+                lowest = rest & -rest
+                rest ^= lowest
+                word_id = lowest.bit_length() - 1
                 flipped = spellers.get(word_id, 0) ^ node_bit
                 if flipped:
                     spellers[word_id] = flipped
@@ -451,9 +524,11 @@ class LanguageIndex:
         A node's bounded language can change only if the node reaches the
         source of a changed edge within ``max_length - 1`` forward hops —
         so only nodes in the backward BFS cone of the delta seeds are
-        walked again; every other node's bitset is carried over verbatim.
-        The shared :class:`PrefixIdArena` is append-only, so word ids stay
-        stable and views of this index remain valid.
+        walked again, by the walk that builds an index; every other
+        node's bitset is carried over verbatim, and the walk reads it,
+        cut to each word length, where a walked node has it as a
+        successor.  The shared :class:`PrefixIdArena` is append-only, so
+        word ids stay stable and views of this index remain valid.
 
         Returns ``self`` when current, and ``None`` when
         :meth:`LabeledGraph.deltas_since

@@ -241,6 +241,65 @@ class TestLabelIndexDeltaRefresh:
         assert fresh.version == graph.version
         assert fresh._rev == GraphLabelIndex(graph)._rev
 
+    def test_one_edge_delta_splices_the_label(self, monkeypatch):
+        graph = LabeledGraph.from_edges([("a", "x", "b"), ("b", "x", "c"), ("c", "y", "a")])
+        before = graph.label_index()
+        graph.add_edge("c", "x", "b")
+
+        def rebuilt(index, _graph, label):
+            raise AssertionError(f"label {label!r} already had a CSR and was rebuilt whole")
+
+        monkeypatch.setattr(GraphLabelIndex, "_reverse_csr", rebuilt)
+        after = graph.label_index()
+        monkeypatch.undo()
+        assert after._rev == GraphLabelIndex(graph)._rev
+        assert after.reverse_csr("y") is before.reverse_csr("y")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_spliced_refresh_equals_scratch_over_random_bridges(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"n{number}" for number in range(10)]
+        graph = LabeledGraph()
+        graph.add_nodes(nodes)
+        graph.add_edges_bulk([(rng.choice(nodes), rng.choice("xy"), rng.choice(nodes)) for _ in range(24)])
+        before = graph.label_index()
+
+        def random_delta():
+            retire = rng.sample(sorted(graph.edges()), min(2, graph.edge_count))
+            admit = [(rng.choice(nodes), rng.choice("xyz"), rng.choice(nodes)) for _ in range(2)]
+            graph.apply_delta(add_edges=admit, remove_edges=retire)
+
+        # bridges of one to several random deltas, and three kinds of bridge
+        # that a random delta rarely makes
+        def appear():
+            graph.add_edge(rng.choice(nodes), "fresh", rng.choice(nodes))
+
+        def vanish():
+            graph.remove_edges_bulk([edge for edge in graph.edges() if edge[1] == "fresh"])
+
+        def remove_and_readd():
+            edge = rng.choice(sorted(graph.edges()))
+            graph.remove_edge(*edge)
+            random_delta()
+            graph.add_edge(*edge)
+
+        bridges = [None, None, appear, None, remove_and_readd, None, None, vanish, None]
+        for bridge in bridges:
+            version = graph.version
+            if bridge is None:
+                for _ in range(rng.randint(1, 4)):
+                    random_delta()
+            else:
+                bridge()
+            named = set()
+            for delta in graph.deltas_since(version):
+                named |= delta.labels_touched
+            after = graph.label_index()
+            assert after._rev == GraphLabelIndex(graph)._rev
+            for label in sorted(before.labels() - named):
+                assert after.reverse_csr(label) is before.reverse_csr(label)
+            before = after
+
 
 class TestJournalBounds:
     def test_journal_is_bounded(self):

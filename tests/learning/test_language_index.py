@@ -7,7 +7,10 @@ incremental :class:`SessionClassifier` matches the from-scratch
 ``graph.version`` bumps never serve stale languages.
 """
 
+import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -84,6 +87,48 @@ class TestPrefixIdArena:
         a = arena.extend(0, "a")
         b = arena.extend(0, "b")
         assert dict(arena.children(0)) == {"a": a, "b": b}
+
+    def test_concurrent_interning_keeps_ids_dense_and_unique(self):
+        """Threads intern overlapping and fresh words at once; every word
+        gets one id, the ids are dense and each round-trips."""
+        arena = PrefixIdArena()
+        thread_count = 4 * (os.cpu_count() or 2)
+        per_thread = 600
+        interned = [{} for _ in range(thread_count)]
+        barrier = threading.Barrier(thread_count)
+
+        def intern(slot):
+            barrier.wait(timeout=30)
+            seen = interned[slot]
+            for step in range(per_thread):
+                shared = arena.extend(0, f"s{step % 50}")
+                for key in ((0, f"s{step % 50}"), (shared, f"s{step % 7}"), (shared, f"t{slot}.{step}")):
+                    seen[key] = arena.extend(*key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=intern, args=(slot,)) for slot in range(thread_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        ids_by_key = {}
+        for seen in interned:
+            for key, word_id in seen.items():
+                assert ids_by_key.setdefault(key, word_id) == word_id, f"{key!r} got two ids"
+        # 50 shared one-label words, 350 shared two-label ones, the rest fresh
+        assert len(ids_by_key) == 50 + 350 + thread_count * per_thread
+        assert len(set(ids_by_key.values())) == len(ids_by_key), "one id was given to two words"
+        assert sorted(ids_by_key.values()) == list(range(1, len(arena)))
+        for (parent, label), word_id in ids_by_key.items():
+            word = arena.word_of(parent) + (label,)
+            assert arena.word_of(word_id) == word
+            assert arena.lookup(word) == word_id
+            assert (label, word_id) in arena.children(parent)
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +264,80 @@ class TestLanguageIndex:
     def test_iter_bits(self):
         assert list(iter_bits(0b101001)) == [0, 3, 5]
         assert list(iter_bits(0)) == []
+
+
+# ----------------------------------------------------------------------
+# the level walk against the per-node reference walk
+# ----------------------------------------------------------------------
+WALK_LABELS = ("a", "b", "c")
+
+
+def awkward_graph(seed):
+    """A random graph with a self-loop, a sink, an isolated node, parallel
+    edges under different labels and one node that carries every label."""
+    rng = random.Random(seed)
+    nodes = [f"v{number}" for number in range(rng.randint(5, 14))]
+    graph = LabeledGraph()
+    graph.add_nodes(nodes + ["isolated"])
+    graph.add_edges_bulk(
+        [(rng.choice(nodes), rng.choice(WALK_LABELS), rng.choice(nodes)) for _ in range(rng.randint(6, 28))]
+    )
+    looped = rng.choice(nodes)
+    graph.add_edge(looped, "a", looped)
+    source, target = rng.sample(nodes, 2)
+    graph.add_edges([(source, "a", target), (source, "b", target)])
+    graph.add_edge(rng.choice(nodes), "c", "sink")
+    graph.add_edges([("hub", label, rng.choice(nodes)) for label in WALK_LABELS])
+    return graph
+
+
+def assert_matches_words_from(index, graph):
+    """Languages, spellers and arena of ``index`` against :func:`words_from`."""
+    languages = {node: words_from(graph, node, index.max_length) for node in graph.nodes()}
+    for node, words in languages.items():
+        assert index.decode(index.language(node)) == words, f"language of {node!r}"
+    arena = index.arena
+    for word_id in range(1, len(arena)):
+        word = arena.word_of(word_id)
+        assert arena.lookup(word) == word_id
+        # spellers are the exact transpose of the languages, both ways
+        expected = {node for node, words in languages.items() if word in words}
+        assert set(index.nodes_of(index.spellers(word_id))) == expected, f"spellers of {word!r}"
+    return set().union(*languages.values())
+
+
+class TestWalkMatchesWordsFrom:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_and_refresh(self, seed, bound):
+        graph = awkward_graph(seed)
+        index = LanguageIndex(graph, bound)
+        # a build interns exactly the words some node spells
+        assert len(index.arena) - 1 == len(assert_matches_words_from(index, graph))
+        rng = random.Random(seed)
+        nodes = sorted(graph.nodes())
+        for _ in range(4):
+            graph.apply_delta(
+                add_edges=[(rng.choice(nodes), rng.choice(WALK_LABELS + ("d",)), rng.choice(nodes))],
+                remove_edges=rng.sample(sorted(graph.edges()), 2),
+            )
+            index = index.refreshed(graph)
+            assert index.version == graph.version
+            assert_matches_words_from(index, graph)
+
+    def test_build_interns_each_word_once(self, monkeypatch):
+        graph = random_graph(800, 2400, "abcd", seed=5)
+        calls = 0
+        extend = PrefixIdArena.extend
+
+        def counted(arena, parent, label):
+            nonlocal calls
+            calls += 1
+            return extend(arena, parent, label)
+
+        monkeypatch.setattr(PrefixIdArena, "extend", counted)
+        index = LanguageIndex(graph, 3)
+        assert calls == len(index.arena) - 1
 
 
 # ----------------------------------------------------------------------

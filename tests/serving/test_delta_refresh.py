@@ -9,6 +9,7 @@ import pytest
 from repro.graph.generators import random_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.neighborhood import NeighborhoodIndex
+from repro.graph.paths import words_from
 from repro.learning.language_index import LanguageIndex
 from repro.query.engine import QueryEngine
 from repro.serving.workspace import GraphWorkspace
@@ -45,6 +46,11 @@ def assert_language_index_matches_scratch(index: LanguageIndex, graph: LabeledGr
         assert index.decode(index.language(node)) == scratch.decode(
             scratch.language(node)
         ), f"language of {node!r} diverged from scratch rebuild"
+        # the scratch build runs the walk under test too, so also check
+        # against the per-node reference walk
+        assert index.decode(index.language(node)) == words_from(
+            graph, node, index.max_length
+        ), f"language of {node!r} diverged from words_from"
         for length in range(index.max_length + 2):
             assert index.decode(index.language(node) & index.length_mask(length)) == (
                 scratch.decode(scratch.language(node) & scratch.length_mask(length))
