@@ -49,17 +49,6 @@ class DFA:
         self._accepting: Set[State] = set()
         self._transitions: Dict[State, Dict[str, State]] = {initial: {}}
         self._alphabet: Set[str] = set()
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped by every mutation.
-
-        Lets derived caches (e.g. compiled query plans in
-        :mod:`repro.query.engine`) detect that an automaton object has
-        changed since they were built.
-        """
-        return self._version
 
     # ------------------------------------------------------------------
     # construction
@@ -69,14 +58,12 @@ class DFA:
         if state not in self._states:
             self._states.add(state)
             self._transitions[state] = {}
-            self._version += 1
         return state
 
     def set_initial(self, state: State) -> None:
         """Change the initial state (must already be registered)."""
         self._require(state)
         self._initial = state
-        self._version += 1
 
     def set_accepting(self, state: State, accepting: bool = True) -> None:
         """Mark or unmark ``state`` as accepting."""
@@ -85,7 +72,6 @@ class DFA:
             self._accepting.add(state)
         else:
             self._accepting.discard(state)
-        self._version += 1
 
     def add_transition(self, source: State, symbol: str, target: State) -> None:
         """Add the transition ``source -symbol-> target`` (overwrites any previous one)."""
@@ -95,12 +81,10 @@ class DFA:
         self._require(target)
         self._transitions[source][symbol] = target
         self._alphabet.add(symbol)
-        self._version += 1
 
     def declare_alphabet(self, symbols: Iterable[str]) -> None:
         """Extend the declared alphabet (affects completion and complement)."""
         self._alphabet.update(symbols)
-        self._version += 1
 
     def _require(self, state: State) -> None:
         if state not in self._states:

@@ -83,13 +83,12 @@ class _IndexedGNFA:
         return [source for source, _ in incoming] + [target for target, _ in outgoing]
 
 
-def dfa_to_regex(dfa: DFA, *, simplify_output: bool = True) -> Regex:
+def dfa_to_regex(dfa: DFA) -> Regex:
     """Return a regular expression for the language of ``dfa``.
 
     The empty language yields the :data:`~repro.regex.ast.EMPTY` constant.
     The state-elimination output is post-processed by
-    :func:`repro.regex.simplify.simplify` unless ``simplify_output`` is
-    False (the raw form is occasionally useful in tests).
+    :func:`repro.regex.simplify.simplify`.
     """
     trimmed = dfa.trim()
     if trimmed.is_empty():
@@ -126,12 +125,9 @@ def dfa_to_regex(dfa: DFA, *, simplify_output: bool = True) -> Regex:
                     (gnfa.degree(neighbor), str(neighbor), tiebreak[neighbor], neighbor),
                 )
 
-    synthesized = gnfa.out_edges.get(_INITIAL, {}).get(_FINAL, EMPTY)
-    if simplify_output:
-        from repro.regex.simplify import simplify
+    from repro.regex.simplify import simplify
 
-        return simplify(synthesized)
-    return synthesized
+    return simplify(gnfa.out_edges.get(_INITIAL, {}).get(_FINAL, EMPTY))
 
 
 def dfa_to_regex_string(dfa: DFA) -> str:

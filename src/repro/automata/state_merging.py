@@ -110,13 +110,10 @@ def _quotient(pta: DFA, partition: _Partition) -> DFA:
     return quotient
 
 
-def _merge_and_fold(pta: DFA, partition: _Partition, red: int, blue: int) -> Optional[_Partition]:
+def _merge_and_fold(pta: DFA, partition: _Partition, red: int, blue: int) -> _Partition:
     """Merge ``blue`` into ``red`` and fold until deterministic.
 
-    Returns the folded partition, or ``None`` when folding would have to
-    merge a state with itself in an inconsistent way (cannot happen with
-    plain determinism folding, so ``None`` is reserved for future
-    extensions such as negative-state PTAs).
+    Returns the folded partition; ``partition`` itself is left unchanged.
     """
     candidate = partition.copy()
     transitions = pta._transitions
@@ -211,8 +208,6 @@ def generalize_pta(
         if max_merges is None or merges_done < max_merges:
             for red_state in sorted({partition.find(state) for state in red}):
                 candidate = _merge_and_fold(pta, partition, red_state, blue)
-                if candidate is None:
-                    continue
                 signature = partition_signature(candidate)
                 verdict = verdicts.get(signature)
                 if verdict is None:

@@ -10,7 +10,7 @@ is left to graphviz if available).
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
@@ -56,7 +56,7 @@ def to_dot(automaton: Automaton, *, name: str = "automaton") -> str:
     return "\n".join(lines)
 
 
-def transition_table(dfa: DFA, *, max_width: Optional[int] = None) -> str:
+def transition_table(dfa: DFA) -> str:
     """ASCII transition table of a DFA (one row per state).
 
     The initial state is marked with ``->`` and accepting states with ``*``.
@@ -73,12 +73,10 @@ def transition_table(dfa: DFA, *, max_width: Optional[int] = None) -> str:
             row.append(str(target) if target is not None else "-")
         rows.append(row)
     widths = [max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i]) for i in range(len(header))]
-    if max_width is not None:
-        widths = [min(width, max_width) for width in widths]
     lines = [
         " | ".join(header[i].ljust(widths[i]) for i in range(len(header))),
         "-+-".join("-" * width for width in widths),
     ]
     for row in rows:
-        lines.append(" | ".join(row[i][: widths[i]].ljust(widths[i]) for i in range(len(header))))
+        lines.append(" | ".join(row[i].ljust(widths[i]) for i in range(len(header))))
     return "\n".join(lines)

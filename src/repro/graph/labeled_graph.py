@@ -627,15 +627,18 @@ class LabeledGraph:
 
 
 class GraphLabelIndex:
-    """Immutable integer-id snapshot of a :class:`LabeledGraph`.
+    """Immutable integer-id reverse adjacency of a :class:`LabeledGraph`.
 
-    Product-automaton evaluation spends nearly all of its time asking
-    "who are the ``label``-predecessors of this node?".  Answering that
-    from the dict-of-sets adjacency allocates a fresh set per question;
-    this snapshot instead stores, per label, a CSR-style pair of flat
-    lists — ``indptr`` (length ``node_count + 1``) and ``indices`` — so
-    the predecessors of node id ``v`` via ``label`` are the slice
-    ``indices[indptr[v]:indptr[v + 1]]``: zero allocation, integer ids.
+    The backward batch evaluator of :mod:`repro.query.engine` spends
+    nearly all of its time asking "who are the ``label``-predecessors of
+    this node?".  Answering that from the dict-of-sets adjacency allocates
+    a fresh set per question; this snapshot instead stores, per label, a
+    CSR-style pair of flat lists — ``indptr`` (length ``node_count + 1``)
+    and ``indices`` — so the predecessors of node id ``v`` via ``label``
+    are the slice ``indices[indptr[v]:indptr[v + 1]]``: zero allocation,
+    integer ids.  The reverse CSR is all it holds: forward searches walk
+    the graph's own adjacency, and the snapshot keeps no reference to its
+    graph.
 
     Instances are value snapshots: they record the :attr:`version` of the
     graph they were built from and are replaced by
@@ -646,7 +649,7 @@ class GraphLabelIndex:
     (see :meth:`_refreshed`) instead of rebuilding the whole snapshot.
     """
 
-    __slots__ = ("version", "nodes", "node_ids", "node_count", "_rev", "_fwd", "_graph")
+    __slots__ = ("version", "nodes", "node_ids", "node_count", "_rev")
 
     #: owned by the graph itself; LabeledGraph.label_index() performs the
     #: delta refresh, so no workspace registration is needed beyond this.
@@ -661,12 +664,6 @@ class GraphLabelIndex:
         self._rev: Dict[Label, Tuple[List[int], List[int]]] = {
             label: self._reverse_csr(graph, label) for label in graph._labels
         }
-
-        # forward adjacency is built lazily on first use (backward
-        # evaluation — the common case — never touches it); the graph
-        # reference is only held until then.
-        self._fwd: Optional[Tuple[Tuple[Tuple[Label, int], ...], ...]] = None
-        self._graph: Optional["LabeledGraph"] = graph
 
     def _reverse_csr(self, graph: "LabeledGraph", label: Label) -> Tuple[List[int], List[int]]:
         """The ``(indptr, indices)`` pair of ``label``'s predecessors per node id."""
@@ -710,26 +707,6 @@ class GraphLabelIndex:
         indptr.extend([end + shift for end in old_indptr[copied + 1 :]])
         return indptr, indices
 
-    def _forward(self) -> Tuple[Tuple[Tuple[Label, int], ...], ...]:
-        fwd_cached = self._fwd
-        if fwd_cached is not None:
-            return fwd_cached
-        graph = self._graph
-        if graph.version != self.version:
-            raise RuntimeError(
-                "GraphLabelIndex is stale; re-fetch it via LabeledGraph.label_index()"
-            )
-        node_ids = self.node_ids
-        fwd: List[Tuple[Tuple[Label, int], ...]] = []
-        for node in self.nodes:
-            out: List[Tuple[Label, int]] = []
-            for label, targets in graph._succ[node].items():
-                out.extend((label, node_ids[target]) for target in targets)
-            fwd.append(tuple(out))
-        self._fwd = tuple(fwd)
-        self._graph = None
-        return self._fwd
-
     def labels(self) -> FrozenSet[Label]:
         """Labels present in the snapshot."""
         return frozenset(self._rev)
@@ -750,10 +727,6 @@ class GraphLabelIndex:
             return []
         indptr, indices = csr
         return indices[indptr[node_id] : indptr[node_id + 1]]
-
-    def out_pairs(self, node_id: int) -> Tuple[Tuple[Label, int], ...]:
-        """Outgoing ``(label, target_id)`` pairs of ``node_id``."""
-        return self._forward()[node_id]
 
     def _refreshed(
         self, graph: "LabeledGraph", deltas: Tuple["GraphDelta", ...]
@@ -790,7 +763,4 @@ class GraphLabelIndex:
             else:
                 rev[label] = fresh._reverse_csr(graph, label)
         fresh._rev = rev
-        # forward adjacency is edge-dependent in full; rebuild lazily
-        fresh._fwd = None
-        fresh._graph = graph
         return fresh

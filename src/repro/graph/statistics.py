@@ -13,6 +13,9 @@ from typing import Dict, Tuple
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.paths import reachable_nodes
 
+#: nodes sampled by :func:`reachability_fractions` (the first, in sorted order)
+REACHABILITY_SAMPLE = 200
+
 
 @dataclass(frozen=True)
 class GraphStatistics:
@@ -64,13 +67,13 @@ def compute_statistics(graph: LabeledGraph) -> GraphStatistics:
     )
 
 
-def reachability_fractions(graph: LabeledGraph, *, sample_limit: int = 200) -> Dict[str, float]:
+def reachability_fractions(graph: LabeledGraph) -> Dict[str, float]:
     """Average fraction of the graph reachable from a node (sampled).
 
-    For large graphs only the first ``sample_limit`` nodes (in sorted
-    order, deterministic) are sampled.
+    For large graphs only the first :data:`REACHABILITY_SAMPLE` nodes (in
+    sorted order, deterministic) are sampled.
     """
-    nodes = sorted(graph.nodes(), key=str)[:sample_limit]
+    nodes = sorted(graph.nodes(), key=str)[:REACHABILITY_SAMPLE]
     if not nodes or graph.node_count == 0:
         return {"average": 0.0, "max": 0.0, "min": 0.0}
     fractions = [

@@ -181,18 +181,15 @@ def _run_interactive(
     strategy: Optional[Strategy] = None,
     max_interactions: Optional[int] = None,
     max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
-    stop_when_satisfied: bool = True,
     workspace=None,
 ) -> ScenarioReport:
     started = time.perf_counter()
     goal_query = goal if isinstance(goal, PathQuery) else PathQuery(goal)
     user = SimulatedUser(graph, goal_query, workspace=workspace)
-    conditions = []
-    if stop_when_satisfied:
-        conditions.append(UserSatisfied(user.goal_answer))
+    conditions = [UserSatisfied(user.goal_answer)]
     if max_interactions is not None:
         conditions.append(MaxInteractions(max_interactions))
-    halt = AnyOf(conditions) if conditions else None
+    halt = AnyOf(conditions)
     session = InteractiveSession(
         graph,
         user,

@@ -633,8 +633,8 @@ class CompatibilityOracle:
        compatibility outright;
     4. only candidates that accept words longer than the bound (merges
        that created loops) fall back to one **multi-source** forward
-       product over the indexed graph — one pass for all negatives
-       together, rather than one per negative.
+       product search over the graph's own adjacency — one pass for all
+       negatives together, rather than one per negative.
 
     Instances are cheap (the cover is a few bit-ors over the shared
     index) and are created per ``learn()`` call; memoisation across merge
@@ -671,9 +671,7 @@ class CompatibilityOracle:
         if longest is not None and longest <= self.max_length:
             return True  # every accepted word fits the bound: walk was complete
         # step 4: exact fallback, all negatives in one product pass
-        index = self.graph.label_index()
-        node_ids = index.node_ids
-        return not selects_any(index, dfa, [node_ids[negative] for negative in self.negatives])
+        return not selects_any(self.graph, dfa, self.negatives)
 
     # -- step 2: DFA × prefix-arena intersection ------------------------
     def _bounded_witness(self, dfa: DFA) -> bool:

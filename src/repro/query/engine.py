@@ -6,11 +6,12 @@ quality metric and uncertified consistency check re-runs the product
 fixed point from scratch.  This module concentrates all of that work
 behind one subsystem, :class:`QueryEngine`, built from three layers:
 
-**Graph index** — evaluation runs on the integer-id, per-label CSR
-snapshot provided by :meth:`LabeledGraph.label_index
+**Graph index** — batch evaluation runs on the integer-id, per-label
+reverse CSR snapshot provided by :meth:`LabeledGraph.label_index
 <repro.graph.labeled_graph.LabeledGraph.label_index>`.  The snapshot is
 built once per graph :attr:`~repro.graph.labeled_graph.LabeledGraph.version`
-and shared by every query.
+and shared by every query.  Forward searches (:func:`selects_any`) walk
+the graph's own adjacency instead.
 
 **Query plans** — a :class:`QueryPlan` is the canonical, trimmed, minimal
 DFA of a query relabelled to dense integer states, together with its
@@ -18,8 +19,8 @@ reverse transition table and a *fingerprint* (a stable hash of the
 canonical automaton).  Two language-equivalent queries — however their
 regexes are spelled — compile to plans with the same fingerprint, so they
 share cache entries.  Plans are compiled once per :class:`PathQuery`
-instance (cached on the object), once per DFA object (weak cache) and
-once per expression string (bounded cache).
+instance (cached on the object) and once per expression string (bounded
+cache); a bare DFA is compiled on each call.
 
 **Answer cache** — evaluated answer sets are memoised per graph under the
 key ``(graph.version, plan.fingerprint)``.  A structural mutation bumps
@@ -208,12 +209,6 @@ class QueryEngine:
         self._answer_caches: "weakref.WeakKeyDictionary[LabeledGraph, _GraphCache]" = (
             weakref.WeakKeyDictionary()
         )
-        # DFA plans are keyed per object and remembered with the DFA's
-        # version at compile time: DFAs are mutable, so a stale entry is
-        # recompiled instead of served.
-        self._dfa_plans: "weakref.WeakKeyDictionary[DFA, Tuple[int, QueryPlan]]" = (
-            weakref.WeakKeyDictionary()
-        )
         # LRU: hits move entries to the back, eviction pops the front —
         # a hot plan survives arbitrary eviction pressure
         self._expression_plans: "OrderedDict[str, QueryPlan]" = OrderedDict()
@@ -234,8 +229,9 @@ class QueryEngine:
         """Compile ``query`` into its canonical :class:`QueryPlan`.
 
         Compilation (parse → DFA → minimise → trim → fingerprint) runs at
-        most once per query object / expression string; afterwards the
-        cached plan is returned.
+        most once per :class:`PathQuery` object / expression string;
+        afterwards the cached plan is returned.  A bare DFA is mutable
+        and compiled on each call.
         """
         if isinstance(query, PathQuery):
             plan = query._plan
@@ -247,14 +243,8 @@ class QueryEngine:
                 self._plan_hits += 1
             return plan
         if isinstance(query, DFA):
-            cached = self._dfa_plans.get(query)
-            if cached is not None and cached[0] == query.version:
-                self._plan_hits += 1
-                return cached[1]
             self._plan_misses += 1
-            plan = QueryPlan(query)
-            self._dfa_plans[query] = (query.version, plan)
-            return plan
+            return QueryPlan(query)
         if isinstance(query, str):
             plan = self._expression_plans.get(query)
             if plan is None:
@@ -324,10 +314,9 @@ class QueryEngine:
         """True when ``query`` selects ``node`` in ``graph``.
 
         Served from the answer cache when the full answer is already
-        known; otherwise a forward product search restricted to what is
-        reachable from ``node`` runs on the graph index (cheaper than a
-        global evaluation for one-off automata such as the learner's
-        merge candidates).
+        known; otherwise a forward product search (:func:`selects_any`)
+        walks the graph from ``node`` (cheaper than a global evaluation
+        for one-off automata such as the learner's merge candidates).
         """
         if node not in graph:
             from repro.exceptions import NodeNotFoundError
@@ -350,8 +339,7 @@ class QueryEngine:
         if not isinstance(dfa, DFA):
             # strings / ASTs: compile fully — the plan cache makes repeats free
             return node in self.evaluate(graph, query)
-        index = graph.label_index()
-        return selects_any(index, dfa, (index.node_ids[node],))
+        return selects_any(graph, dfa, (node,))
 
     def answer_signature(self, graph: LabeledGraph, query: QueryLike) -> Tuple[Node, ...]:
         """Sorted tuple of selected nodes — a hashable answer fingerprint."""
@@ -476,11 +464,6 @@ class QueryEngine:
         """Return the plan of ``query`` only if it is already compiled."""
         if isinstance(query, PathQuery):
             return query._plan
-        if isinstance(query, DFA):
-            cached = self._dfa_plans.get(query)
-            if cached is not None and cached[0] == query.version:
-                return cached[1]
-            return None
         if isinstance(query, str):
             return self._expression_plans.get(query)
         return None
@@ -570,41 +553,41 @@ class QueryEngine:
         return answers
 
 
-def selects_any(index: GraphLabelIndex, dfa: DFA, start_ids: Sequence[int]) -> bool:
-    """True when ``dfa`` selects any of the node ids ``start_ids``.
+def selects_any(graph: LabeledGraph, dfa: DFA, starts: Iterable[Node]) -> bool:
+    """True when ``dfa`` selects any node of ``starts`` in ``graph``.
 
     A forward product search over graph × DFA from every ``(start,
-    initial)`` pair at once, exiting at the first accepting state it
-    reaches.  Starts are queued in the order given.
+    initial)`` pair at once, walking the graph's own adjacency and
+    exiting at the first accepting state it reaches.  Every start must be
+    a node of ``graph``; callers check that first.
     """
     initial = dfa.initial_state
     transitions = dfa._transitions
     accepting = dfa._accepting
-    out_pairs = index.out_pairs
-    n = index.node_count
-    state_ids = {initial: 0}
+    succ = graph._succ
     seen = set()
     queue: deque = deque()
-    for start in start_ids:
-        if start not in seen:
-            seen.add(start)  # state id 0: encoded 0 * n + start
-            queue.append((start, initial))
+    for start in starts:
+        pair = (start, initial)
+        if pair not in seen:
+            seen.add(pair)
+            queue.append(pair)
     if queue and initial in accepting:
         return True
     while queue:
-        node_id, state = queue.popleft()
+        node, state = queue.popleft()
         moves = transitions[state]
-        for label, target_id in out_pairs(node_id):
+        for label, targets in succ[node].items():
             target_state = moves.get(label)
             if target_state is None:
                 continue
             if target_state in accepting:
-                return True
-            state_id = state_ids.setdefault(target_state, len(state_ids))
-            encoded = state_id * n + target_id
-            if encoded not in seen:
-                seen.add(encoded)
-                queue.append((target_id, target_state))
+                return True  # label buckets are never empty: a target exists
+            for target in targets:
+                pair = (target, target_state)
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append(pair)
     return False
 
 

@@ -86,15 +86,12 @@ def generate_workload(
     families: Sequence[str] = QUERY_FAMILIES,
     per_family: int = 3,
     seed: Optional[int] = None,
-    require_nonempty: bool = True,
-    require_nontrivial: bool = True,
     max_attempts: int = 60,
 ) -> List[WorkloadQuery]:
     """Generate a workload of goal queries over ``graph``'s alphabet.
 
-    ``require_nonempty`` discards queries selecting no node;
-    ``require_nontrivial`` additionally discards queries selecting *every*
-    node (both are uninteresting interaction targets).
+    Queries selecting no node or *every* node are discarded (both are
+    uninteresting interaction targets).
     """
     labels = sorted(graph.alphabet())
     if not labels:
@@ -114,9 +111,7 @@ def generate_workload(
             seen.add(expression)
             query = PathQuery(expression)
             answer = engine.evaluate(graph, query)
-            if require_nonempty and not answer:
-                continue
-            if require_nontrivial and len(answer) == graph.node_count:
+            if not answer or len(answer) == graph.node_count:
                 continue
             workload.append(
                 WorkloadQuery(

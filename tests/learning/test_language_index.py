@@ -786,8 +786,7 @@ class TestCompatibilityOracle:
                 folded = _merge_and_fold(
                     pta, partition, rng.choice(states), rng.choice(states)
                 )
-                if folded is not None:
-                    candidates.append(_quotient(pta, folded))
+                candidates.append(_quotient(pta, folded))
             for candidate in candidates:
                 expected = not any(
                     engine.selects(graph, candidate, node) for node in negatives

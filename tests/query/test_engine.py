@@ -49,6 +49,19 @@ def _reference_evaluate(graph, dfa):
     return frozenset(node for node in graph.nodes() if (node, initial) in successful)
 
 
+def _three_or_more(label):
+    """The DFA of ``label . label . label . label*`` (cyclic, no empty word)."""
+    from repro.automata.dfa import DFA
+
+    dfa = DFA(0)
+    for state in (1, 2, 3):
+        dfa.add_state(state)
+        dfa.add_transition(state - 1, label, state)
+    dfa.add_transition(3, label, 3)
+    dfa.set_accepting(3)
+    return dfa
+
+
 class TestGraphVersion:
     def test_new_graph_version_zero(self):
         assert LabeledGraph().version == 0
@@ -115,19 +128,42 @@ class TestLabelIndex:
         assert index.predecessor_ids(c, "y") == []
         assert index.reverse_csr("missing-label") is None
 
-    def test_out_pairs_lazy_forward_adjacency(self):
-        graph = LabeledGraph.from_edges([("a", "x", "b"), ("a", "y", "c")])
-        index = graph.label_index()
-        a = index.node_ids["a"]
-        out = {(label, index.nodes[i]) for label, i in index.out_pairs(a)}
-        assert out == {("x", "b"), ("y", "c")}
+    def test_forward_searches_leave_the_label_index_unbuilt(self):
+        # x -a-> y -a-> z -a-> w: only a path of three labels reaches
+        # acceptance, beyond the oracle's bound, so only its exact
+        # forward fallback can find that x is selected
+        from repro.learning.language_index import CompatibilityOracle, LanguageIndex
 
-    def test_stale_index_forward_build_raises(self):
-        graph = LabeledGraph.from_edges([("a", "x", "b")])
-        index = graph.label_index()
-        graph.add_edge("b", "x", "c")
-        with pytest.raises(RuntimeError):
-            index.out_pairs(0)
+        graph = LabeledGraph.from_edges([("x", "a", "y"), ("y", "a", "z"), ("z", "a", "w")])
+        dfa = _three_or_more("a")
+        engine = QueryEngine()
+        assert engine.selects(graph, dfa, "x")
+        assert not engine.selects(graph, dfa, "y")
+        assert engine.selects(graph, PathQuery("a . a . a"), "x")
+        oracle = CompatibilityOracle(graph, ["x"], max_length=2, index=LanguageIndex(graph, 2))
+        assert not oracle.compatible(dfa)
+        assert CompatibilityOracle(graph, ["y", "w"], max_length=2).compatible(dfa)
+        assert graph._label_index is None
+
+    def test_an_evaluated_graph_dies_with_its_last_reference(self):
+        # the label index holds no reference back to its graph, so the
+        # graph is freed by reference counting alone, without a cycle
+        import gc
+        import weakref
+
+        engine = QueryEngine()
+        graph = random_graph(200, 600, ("a", "b", "c"), seed=5)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert engine.evaluate(graph, "a . b*")
+            assert graph._label_index is not None
+            graph_ref = weakref.ref(graph)
+            del graph
+            assert graph_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestPlanFingerprints:
@@ -378,6 +414,85 @@ class TestBatchEvaluator:
         # scenario) must evaluate fine through the integer-id index
         graph = LabeledGraph.from_edges([(1, "x", "b"), ("b", "y", 2), (1, "y", 2)])
         assert QueryEngine().evaluate(graph, "x . y") == frozenset({1})
+
+
+def _random_multigraph(rng, labels):
+    """A random graph with self-loops and parallel edges under several labels."""
+    graph = LabeledGraph()
+    node_count = rng.randint(1, 9)
+    for node in range(node_count):
+        graph.add_node(node)
+    for _ in range(rng.randint(0, 3 * node_count)):
+        source = rng.randrange(node_count)
+        target = source if rng.random() < 0.2 else rng.randrange(node_count)
+        for label in rng.sample(labels, rng.randint(1, len(labels))):
+            graph.add_edge(source, label, target)
+    return graph
+
+
+def _random_dfa(rng, labels, kind):
+    """A random DFA over ``labels`` of one ``kind``.
+
+    ``acyclic`` moves only to higher states, ``cyclic`` adds a move back
+    to the initial state, ``empty-word`` accepts its initial state and
+    ``empty-language`` accepts nothing.
+    """
+    from repro.automata.dfa import DFA
+
+    state_count = rng.randint(1, 4)
+    dfa = DFA(0)
+    for state in range(1, state_count):
+        dfa.add_state(state)
+    for state in range(state_count):
+        for label in labels:
+            if rng.random() < 0.5:
+                low = state + 1 if kind == "acyclic" else 0
+                if low < state_count:
+                    dfa.add_transition(state, label, rng.randrange(low, state_count))
+    if kind == "cyclic":
+        dfa.add_transition(state_count - 1, rng.choice(labels), 0)
+    if kind != "empty-language":
+        for state in range(state_count):
+            if rng.random() < 0.4:
+                dfa.set_accepting(state)
+        dfa.set_accepting(0 if kind == "empty-word" else state_count - 1)
+    if kind != "empty-word":
+        dfa.set_accepting(0, False)
+    return dfa
+
+
+class TestSelectsAny:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_batch_evaluation(self, seed):
+        from repro.query.engine import selects_any
+
+        rng = random.Random(seed)
+        labels = ["a", "b", "c"]
+        for _ in range(40):
+            graph = _random_multigraph(rng, labels)
+            nodes = list(graph.nodes())
+            for kind in ("acyclic", "cyclic", "empty-word", "empty-language"):
+                dfa = _random_dfa(rng, labels, kind)
+                answer = QueryEngine().evaluate(graph, dfa)
+                repeated = [rng.choice(nodes)] * 2 + rng.sample(nodes, rng.randint(0, len(nodes)))
+                for starts in ([], [rng.choice(nodes)], repeated):
+                    expected = any(start in answer for start in starts)
+                    assert selects_any(graph, dfa, starts) == expected, (kind, starts)
+
+    def test_each_kind_is_drawn(self):
+        # the generator really produces every kind the property test names
+        from repro.learning.language_index import _longest_accepted_length
+
+        rng = random.Random(0)
+        for kind in ("acyclic", "cyclic", "empty-word", "empty-language"):
+            plans, longest = [], []
+            for _ in range(20):
+                dfa = _random_dfa(rng, ["a", "b"], kind)
+                plans.append(QueryEngine().plan(dfa))
+                longest.append(_longest_accepted_length(dfa))
+            assert all(plan.accepts_empty_word == (kind == "empty-word") for plan in plans)
+            assert all(plan.is_empty for plan in plans) == (kind == "empty-language")
+            assert (None in longest) == (kind in ("cyclic", "empty-word"))
 
 
 class TestSharedEngineWiring:

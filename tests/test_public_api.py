@@ -36,6 +36,7 @@ from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
 from repro.learning.informativeness import SessionClassifier, classify_all, informative_nodes
 from repro.learning.language_index import LanguageIndex
 from repro.learning.propagation import propagate_to_fixpoint
+from repro.query.engine import selects_any
 from repro.workloads.churn import ChurnStream
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -138,6 +139,7 @@ EXPECTED_PARAMETERS = [
     (eccentricity_bound, {"graph", "center"}),
     (LanguageIndex.refreshed, {"self", "graph"}),
     (QueryEngine, set()),
+    (selects_any, {"graph", "dfa", "starts"}),
     (CanonicalFormCache, set()),
     (LintConfig, {"select", "allow"}),
     (lint_paths, {"paths", "config", "root"}),
