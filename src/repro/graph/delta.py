@@ -4,30 +4,29 @@ Every structural mutation of a :class:`~repro.graph.labeled_graph.LabeledGraph`
 bumps its monotone :attr:`~repro.graph.labeled_graph.LabeledGraph.version`
 counter.  Since the delta-journal PR the graph also records *what* each
 bump changed — a :class:`GraphDelta` holding the edges and nodes added
-and removed — in a bounded journal, so derived structures (the engine's
-answer cache, the language index bitsets, the neighbourhood BFS layers)
-can invalidate **proportionally to the delta** instead of rebuilding
-whole:
+and removed — in a bounded journal.  Two derived structures read it to
+catch up **proportionally to the delta** instead of rebuilding whole:
 
-* a cached query answer survives when the plan's alphabet is disjoint
-  from :attr:`GraphDelta.labels_touched`;
-* a language index rescoring only needs the nodes within ``bound`` BFS
-  hops of a changed edge's source;
-* a cached BFS layer stack survives when no member of
-  :attr:`GraphDelta.touched_nodes` appears in its distance map.
+* the graph's label index reuses the reverse CSR of every label no
+  changed edge carries, and splices the touched ones;
+* a language index rescores only the nodes within ``bound - 1`` backward
+  hops of a changed edge's source.
+
+The engine's answer cache and the neighbourhood BFS states do not read
+it: a version change drops them outright, since an answer set or a
+radius-3 ball is usually touched by a tick anyway.
 
 Deltas are value objects: once recorded they are never mutated.  A step
 too large to be worth replaying (a generator-scale bulk insert) is
 journaled as an *opaque* delta, which exists only in the journal —
 :meth:`LabeledGraph.deltas_since
 <repro.graph.labeled_graph.LabeledGraph.deltas_since>` refuses to bridge
-across one, and every consumer falls back to the whole-drop rebuild the
-pre-journal code always performed.
+across one, and both readers then rebuild from scratch.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Optional, Tuple
+from typing import Hashable, Tuple
 
 Node = Hashable
 Label = str
@@ -54,8 +53,6 @@ class GraphDelta:
         "nodes_added",
         "nodes_removed",
         "opaque",
-        "_labels_touched",
-        "_touched_nodes",
     )
 
     def __init__(
@@ -78,40 +75,6 @@ class GraphDelta:
         self.nodes_added = tuple(nodes_added)
         self.nodes_removed = tuple(nodes_removed)
         self.opaque = opaque
-        self._labels_touched: Optional[FrozenSet[Label]] = None
-        self._touched_nodes: Optional[FrozenSet[Node]] = None
-
-    # ------------------------------------------------------------------
-    # derived views (computed once, cached)
-    # ------------------------------------------------------------------
-    @property
-    def labels_touched(self) -> FrozenSet[Label]:
-        """Labels carried by any edge this delta added or removed."""
-        labels = self._labels_touched
-        if labels is None:
-            labels = frozenset(
-                label for _, label, _ in self.edges_added
-            ) | frozenset(label for _, label, _ in self.edges_removed)
-            self._labels_touched = labels
-        return labels
-
-    @property
-    def touched_nodes(self) -> FrozenSet[Node]:
-        """Every node named by this delta: changed-edge endpoints plus
-        nodes added or removed outright."""
-        touched = self._touched_nodes
-        if touched is None:
-            nodes = set(self.nodes_added)
-            nodes.update(self.nodes_removed)
-            for source, _, target in self.edges_added:
-                nodes.add(source)
-                nodes.add(target)
-            for source, _, target in self.edges_removed:
-                nodes.add(source)
-                nodes.add(target)
-            touched = frozenset(nodes)
-            self._touched_nodes = touched
-        return touched
 
     @property
     def nodes_changed(self) -> bool:

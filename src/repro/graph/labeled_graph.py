@@ -48,8 +48,8 @@ class LabeledGraph:
     :class:`~repro.graph.delta.GraphDelta` per version step recording the
     edges/nodes the step added and removed.  Every mutator is at most one
     version step, written by the one private write path :meth:`_apply`.
-    :meth:`deltas_since` replays the journal so caches can invalidate
-    *only* what a delta can reach — see
+    :meth:`deltas_since` replays the journal so the label index and the
+    language indexes can rework *only* what a delta can reach — see
     :meth:`repro.serving.workspace.GraphWorkspace.refresh`.  The journal
     holds the last ``journal_limit`` steps (``0`` disables it); a step of
     more than :attr:`JOURNAL_EDGE_LIMIT` elements is recorded opaquely —

@@ -311,15 +311,13 @@ class NeighborhoodIndex:
     * every extraction around the same centre shares one BFS, which runs
       only as deep as the largest radius asked for plus one layer.
 
-    The index holds the graph weakly: it dies with the graph.  On a
-    structural mutation (version bump) it consults the graph's delta
-    journal and drops **only** the layer structures whose explored region
-    contains a touched node (see :meth:`refresh`); when the journal
-    cannot bridge the gap it falls back to dropping everything, exactly
-    the pre-journal behaviour.  Layer states are kept in a bounded LRU
-    (like the engine's plan cache), so a long session proposing many
-    distinct centres cannot retain O(n) BFS state per centre
-    indefinitely.
+    The index holds the graph weakly: it dies with the graph.  A
+    structural mutation (version bump) drops every layer structure (see
+    :meth:`refresh`); a :class:`Neighborhood` already handed out stays
+    valid, since it holds its own layer tuples.  Layer states are kept in
+    a bounded LRU (like the engine's plan cache), so a long session
+    proposing many distinct centres cannot retain O(n) BFS state per
+    centre indefinitely.
     """
 
     #: retained per-centre layer structures; a session's zoom ladder
@@ -329,8 +327,8 @@ class NeighborhoodIndex:
 
     __slots__ = ("_graph_ref", "_version", "_states", "__weakref__")
 
-    #: delta-refreshed (or cleared) via refresh(), which both _state()
-    #: and GraphWorkspace.refresh() drive.
+    #: cleared via refresh(), which both _state() and
+    #: GraphWorkspace.refresh() drive.
     __workspace_hook__ = "workspace.neighborhoods"
 
     def __init__(self, graph: LabeledGraph):
@@ -345,45 +343,18 @@ class NeighborhoodIndex:
             raise RuntimeError("the graph of this NeighborhoodIndex was garbage-collected")
         return graph
 
-    def refresh(self, graph: LabeledGraph) -> Tuple[int, int]:
-        """Catch up with ``graph``, dropping only delta-reachable states.
+    def refresh(self, graph: LabeledGraph) -> int:
+        """Catch up with ``graph``: drop every state of an older version.
 
-        A cached layer structure is still exact after a mutation when no
-        touched node (changed-edge endpoint, added or removed node) lies
-        in its explored region: every path of length ≤ explored depth
-        runs entirely through explored nodes, so a change with both
-        endpoints outside cannot alter any recorded distance, layer or
-        boundary.  A kept structure also deepens exactly on the new
-        graph: its deepest layer's edges are unchanged, so the next layer
-        comes out as a fresh BFS would build it.  When
-        :meth:`LabeledGraph.deltas_since
-        <repro.graph.labeled_graph.LabeledGraph.deltas_since>` cannot
-        bridge the gap, every state is dropped (the pre-journal
-        behaviour).
-
-        Returns ``(kept, dropped)``.
+        A tick usually lands inside a radius-3 ball, so no state is kept
+        across a version change.  Returns how many states were dropped.
         """
         if graph.version == self._version:
-            return (len(self._states), 0)
-        deltas = graph.deltas_since(self._version)
+            return 0
         self._version = graph.version
-        states = self._states
-        if deltas is None:
-            dropped = len(states)
-            states.clear()
-            return (0, dropped)
-        touched = set()
-        for delta in deltas:
-            touched.update(delta.touched_nodes)
-        kept = 0
-        dropped = 0
-        for key in list(states):
-            if touched.isdisjoint(states[key].distances):
-                kept += 1
-            else:
-                del states[key]
-                dropped += 1
-        return (kept, dropped)
+        dropped = len(self._states)
+        self._states.clear()
+        return dropped
 
     def _state(self, graph: LabeledGraph, center: Node) -> _BfsState:
         if center not in graph:

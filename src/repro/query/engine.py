@@ -24,16 +24,10 @@ cache); a bare DFA is compiled on each call.
 
 **Answer cache** — evaluated answer sets are memoised per graph under the
 key ``(graph.version, plan.fingerprint)``.  A structural mutation bumps
-the graph's version; when the graph's delta journal can bridge the gap
-(see :meth:`LabeledGraph.deltas_since
-<repro.graph.labeled_graph.LabeledGraph.deltas_since>`), the engine
-*upgrades* the cache instead of dropping it — an answer survives when
-its plan's alphabet is disjoint from every touched label and, if the
-plan accepts the empty word, the node set did not change (an RPQ answer
-can only move when an edge carrying one of its labels moves, or — for
-empty-word-accepting plans — when nodes appear or disappear).  Opaque or
-out-of-window deltas fall back to the historical whole-drop.  Dropping
-the graph garbage-collects its cache (the engine holds graphs weakly).
+the graph's version, and the next access (or :meth:`QueryEngine.refresh`)
+drops every answer of the older version: a tick usually touches an
+answer set, so the engine does not read the delta journal.  Dropping the
+graph garbage-collects its cache (the engine holds graphs weakly).
 
 On top of these the engine offers a *shared-frontier batch evaluator*:
 :meth:`QueryEngine.evaluate_many` compiles a whole candidate set,
@@ -92,9 +86,7 @@ class QueryPlan:
         "accepting",
         "rev_by_state",
         "transitions",
-        "alphabet",
         "is_empty",
-        "accepts_empty_word",
     )
 
     def __init__(self, dfa: DFA, *, assume_minimal: bool = False):
@@ -108,9 +100,7 @@ class QueryPlan:
             self.accepting: Tuple[int, ...] = ()
             self.rev_by_state: Tuple[Tuple[Tuple[str, int], ...], ...] = ()
             self.transitions: Tuple[Tuple[int, str, int], ...] = ()
-            self.alphabet: FrozenSet[str] = frozenset()
             self.is_empty = True
-            self.accepts_empty_word = False
             self.fingerprint = "empty"
             return
 
@@ -123,11 +113,7 @@ class QueryPlan:
                 key=lambda arc: (arc[0], symbol_sort_key(arc[1]), arc[2]),
             )
         )
-        self.alphabet = frozenset(
-            symbol for _, symbol, _ in self.transitions
-        )
         self.is_empty = False
-        self.accepts_empty_word = canonical.is_accepting(self.initial)
 
         rev: List[List[Tuple[str, int]]] = [[] for _ in range(self.state_count)]
         for source, symbol, target in self.transitions:
@@ -172,23 +158,17 @@ def _canonical_trim(dfa: DFA) -> Optional[DFA]:
 
 
 class _GraphCache:
-    """Per-graph answer cache: built for exactly one graph version.
+    """Per-graph answer cache: built for exactly one graph version."""
 
-    ``meta`` remembers, per fingerprint, the plan facts needed to decide
-    delta retention without the plan object: its alphabet and whether it
-    accepts the empty word.
-    """
+    __slots__ = ("version", "answers")
 
-    __slots__ = ("version", "answers", "meta")
-
-    #: upgraded/dropped through QueryEngine.refresh(), which
-    #: GraphWorkspace.refresh() drives per graph.
+    #: replaced by an empty cache through QueryEngine.refresh(), which
+    #: GraphWorkspace.refresh() drives per graph, or on the next access.
     __workspace_hook__ = "engine.answers"
 
     def __init__(self, version: int):
         self.version = version
         self.answers: Dict[str, FrozenSet[Node]] = {}
-        self.meta: Dict[str, Tuple[FrozenSet[str], bool]] = {}
 
 
 class QueryEngine:
@@ -218,9 +198,7 @@ class QueryEngine:
         self._plan_hits = 0
         self._plan_misses = 0
         self._batch_passes = 0
-        self._answers_retained = 0
         self._answers_dropped = 0
-        self._delta_refreshes = 0
 
     # ------------------------------------------------------------------
     # plan compilation
@@ -324,16 +302,12 @@ class QueryEngine:
             raise NodeNotFoundError(node)
 
         cached_plan = self._peek_plan(query)
-        if cached_plan is not None:
-            cache = self._answer_caches.get(graph)
-            if cache is not None:
-                if cache.version != graph.version:
-                    # delta-upgrade (or drop) before consulting the entry
-                    cache = self._graph_cache(graph)
-                answer = cache.answers.get(cached_plan.fingerprint)
-                if answer is not None:
-                    self._answer_hits += 1
-                    return node in answer
+        if cached_plan is not None and graph in self._answer_caches:
+            # a stale cache is dropped here: only an answer of this version serves
+            answer = self._graph_cache(graph).answers.get(cached_plan.fingerprint)
+            if answer is not None:
+                self._answer_hits += 1
+                return node in answer
 
         dfa = query.dfa if isinstance(query, PathQuery) else query
         if not isinstance(dfa, DFA):
@@ -370,43 +344,31 @@ class QueryEngine:
     # cache management
     # ------------------------------------------------------------------
     def refresh(self, graph: Optional[LabeledGraph] = None) -> Dict[str, int]:
-        """Delta-upgrade stale answer caches instead of waiting for a miss.
+        """Drop stale answers now instead of on the next access.
 
-        For ``graph`` (or every tracked graph when ``None``): if its cache
-        is stale and the graph's delta journal can bridge the gap, retain
-        every answer whose plan the deltas cannot have changed and drop
-        the rest; when the journal cannot bridge (window exceeded, opaque
-        step, disabled journal), fall back to the whole-drop the
-        pre-journal engine always performed.
+        For ``graph`` (or every tracked graph when ``None``): a cache
+        built for an older version of the graph is replaced by an empty
+        one at the current version.
 
-        Returns the counters for this call:
-        ``{"answers_retained", "answers_dropped", "delta_refreshes"}``.
+        Returns the counter for this call: ``{"answers_dropped"}``.
         """
-        retained_before = self._answers_retained
         dropped_before = self._answers_dropped
-        refreshes_before = self._delta_refreshes
         targets = (graph,) if graph is not None else tuple(self._answer_caches)
         for target in targets:
             cache = self._answer_caches.get(target)
             if cache is not None and cache.version != target.version:
-                self._answer_caches[target] = self._upgrade_cache(target, cache)
-        return {
-            "answers_retained": self._answers_retained - retained_before,
-            "answers_dropped": self._answers_dropped - dropped_before,
-            "delta_refreshes": self._delta_refreshes - refreshes_before,
-        }
+                self._replace_stale(target, cache)
+        return {"answers_dropped": self._answers_dropped - dropped_before}
 
     def stats(self) -> Dict[str, int]:
-        """Cache counters: answer/plan hits and misses, batch passes."""
+        """Cache counters: answer/plan hits and misses, batch passes, drops."""
         return {
             "answer_hits": self._answer_hits,
             "answer_misses": self._answer_misses,
             "plan_hits": self._plan_hits,
             "plan_misses": self._plan_misses,
             "batch_passes": self._batch_passes,
-            "answers_retained": self._answers_retained,
             "answers_dropped": self._answers_dropped,
-            "delta_refreshes": self._delta_refreshes,
         }
 
     # ------------------------------------------------------------------
@@ -418,47 +380,20 @@ class QueryEngine:
             cache = _GraphCache(graph.version)
             self._answer_caches[graph] = cache
         elif cache.version != graph.version:
-            cache = self._upgrade_cache(graph, cache)
-            self._answer_caches[graph] = cache
+            cache = self._replace_stale(graph, cache)
         return cache
 
-    def _upgrade_cache(self, graph: LabeledGraph, cache: _GraphCache) -> _GraphCache:
-        """A cache at ``graph.version`` keeping every answer the journal
-        proves untouched (empty when the journal cannot bridge)."""
-        deltas = graph.deltas_since(cache.version)
-        if deltas == ():  # already current (raced by a concurrent upgrade)
-            return cache
-        fresh = _GraphCache(graph.version)
-        if deltas is None:
-            self._answers_dropped += len(cache.answers)
-            return fresh
-        touched: set = set()
-        nodes_changed = False
-        for delta in deltas:
-            touched.update(delta.labels_touched)
-            nodes_changed = nodes_changed or delta.nodes_changed
-        for fingerprint, answer in cache.answers.items():
-            meta = cache.meta.get(fingerprint)
-            if (
-                meta is None
-                or not meta[0].isdisjoint(touched)
-                or (meta[1] and nodes_changed)
-            ):
-                self._answers_dropped += 1
-                continue
-            fresh.answers[fingerprint] = answer
-            fresh.meta[fingerprint] = meta
-            self._answers_retained += 1
-        self._delta_refreshes += 1
-        return fresh
+    def _replace_stale(self, graph: LabeledGraph, stale: _GraphCache) -> _GraphCache:
+        """An empty cache at ``graph.version`` in place of ``stale``."""
+        self._answers_dropped += len(stale.answers)
+        cache = _GraphCache(graph.version)
+        self._answer_caches[graph] = cache
+        return cache
 
     def _remember(self, cache: _GraphCache, plan: QueryPlan, answer: FrozenSet[Node]) -> None:
         if len(cache.answers) >= self.MAX_ANSWERS_PER_GRAPH:
-            evicted = next(iter(cache.answers))
-            cache.answers.pop(evicted)
-            cache.meta.pop(evicted, None)
+            cache.answers.pop(next(iter(cache.answers)))
         cache.answers[plan.fingerprint] = answer
-        cache.meta[plan.fingerprint] = (plan.alphabet, plan.accepts_empty_word)
 
     def _peek_plan(self, query: QueryLike) -> Optional[QueryPlan]:
         """Return the plan of ``query`` only if it is already compiled."""

@@ -32,12 +32,11 @@ WORKSPACE_HOOKS: Dict[str, str] = {
         "GraphLabelIndex._refreshed, rebuilding only touched labels"
     ),
     # _GraphCache: the engine's per-graph answer cache; QueryEngine.refresh()
-    # upgrades it (alphabet-disjoint answers retained), QueryEngine
-    # access paths upgrade lazily, GraphWorkspace.refresh() drives it per
-    # graph.
+    # and the QueryEngine access paths replace a stale one by an empty
+    # cache, GraphWorkspace.refresh() drives it per graph.
     "engine.answers": (
-        "QueryEngine.refresh() / _graph_cache() — retains answers whose "
-        "plan alphabet is disjoint from every touched label"
+        "QueryEngine.refresh() / _graph_cache() — drops every answer of an "
+        "older graph version"
     ),
     # LanguageIndex: GraphWorkspace.language_index() and
     # GraphWorkspace.refresh() call LanguageIndex.refreshed() on a graph's
@@ -49,12 +48,12 @@ WORKSPACE_HOOKS: Dict[str, str] = {
         "bound held at nodes within max_length-1 backward hops of a delta "
         "seed and restricts it to every smaller bound"
     ),
-    # NeighborhoodIndex: refresh() drops only layer structures whose
-    # explored region intersects the touched nodes; driven by its own
-    # _state() accessor and by GraphWorkspace.refresh().
+    # NeighborhoodIndex: refresh() drops every BFS layer structure of an
+    # older version; driven by its own _state() accessor and by
+    # GraphWorkspace.refresh().
     "workspace.neighborhoods": (
-        "NeighborhoodIndex.refresh() — drops only BFS layer stacks whose "
-        "distance map contains a touched node"
+        "NeighborhoodIndex.refresh() — drops every BFS layer stack of an "
+        "older graph version"
     ),
 }
 

@@ -313,35 +313,37 @@ class GraphWorkspace:
     # maintenance
     # ------------------------------------------------------------------
     def refresh(self, graph: Optional[LabeledGraph] = None) -> Dict[str, int]:
-        """Upgrade stale entries in place via the graph's delta journal.
+        """Catch a mutated graph's entries up, or drop them.
 
         The one way a workspace catches up with a mutated graph.  It
-        consults :meth:`LabeledGraph.deltas_since
-        <repro.graph.labeled_graph.LabeledGraph.deltas_since>` and
 
         * **walks** only the largest :class:`LanguageIndex` bound held
-          for the graph, over the delta-reachable nodes
-          (:meth:`LanguageIndex.refreshed
-          <repro.learning.language_index.LanguageIndex.refreshed>`), and
-          replaces every smaller stale bound with a restriction of it,
-        * **retains** every engine answer whose plan the deltas cannot
-          have changed (:meth:`QueryEngine.refresh
+          for the graph, over the delta-reachable nodes that
+          :meth:`LanguageIndex.refreshed
+          <repro.learning.language_index.LanguageIndex.refreshed>` reads
+          off the graph's delta journal, and replaces every smaller stale
+          bound with a restriction of it,
+        * **drops** every engine answer of an older version
+          (:meth:`QueryEngine.refresh
           <repro.query.engine.QueryEngine.refresh>`),
-        * **keeps** every neighbourhood layer structure disjoint from the
-          touched nodes (:meth:`NeighborhoodIndex.refresh
-          <repro.graph.neighborhood.NeighborhoodIndex.refresh>`), and
+        * **drops** every neighbourhood BFS state of an older version
+          (:meth:`NeighborhoodIndex.refresh
+          <repro.graph.neighborhood.NeighborhoodIndex.refresh>`),
         * drops the stale content fingerprint (content changed by
-          definition).
+          definition), and
+        * catches the graph's label index up
+          (:meth:`LabeledGraph.label_index
+          <repro.graph.labeled_graph.LabeledGraph.label_index>`).
 
         When the journal cannot bridge the gap — window exceeded, opaque
-        batch, a disabled journal, or for the language indexes a changed
-        node set — every layer drops its stale entries instead.
-        Refreshing is not a correctness requirement: every registry
-        checks the version on access anyway.  With a ``graph``, only that
-        graph's entries are touched; without one, every graph that a
-        registry or the engine holds entries for is refreshed.
+        batch, a disabled journal, or a changed node set — the language
+        indexes are dropped instead.  Refreshing is not a correctness
+        requirement: every registry checks the version on access anyway.
+        With a ``graph``, only that graph's entries are touched; without
+        one, every graph that a registry or the engine holds entries for
+        is refreshed.
 
-        Returns counters of what was refreshed, retained and dropped;
+        Returns counters of what was refreshed and dropped;
         ``language_indexes_refreshed`` counts every language entry brought
         up to date in place, walked or restricted.
         """
@@ -349,9 +351,7 @@ class GraphWorkspace:
             "language_indexes_refreshed": 0,
             "language_indexes_dropped": 0,
             "fingerprints_dropped": 0,
-            "answers_retained": 0,
             "answers_dropped": 0,
-            "neighborhood_states_kept": 0,
             "neighborhood_states_dropped": 0,
         }
         if graph is not None:
@@ -367,9 +367,7 @@ class GraphWorkspace:
             self._refresh_graph(target, counters)
         # without a graph the engine refreshes every graph it holds answers
         # for, including graphs that no registry above has seen
-        engine_counters = self.engine.refresh(graph)
-        counters["answers_retained"] = engine_counters["answers_retained"]
-        counters["answers_dropped"] = engine_counters["answers_dropped"]
+        counters.update(self.engine.refresh(graph))
         return counters
 
     def _refresh_graph(self, target: LabeledGraph, counters: Dict[str, int]) -> None:
@@ -408,14 +406,11 @@ class GraphWorkspace:
                 del self._fingerprints[target]
                 counters["fingerprints_dropped"] += 1
         if neighborhoods is not None:
-            kept, dropped = neighborhoods.refresh(target)
-            counters["neighborhood_states_kept"] += kept
-            counters["neighborhood_states_dropped"] += dropped
-        # Warm the graph-owned label index while we are already paying
-        # for a refresh: label_index() delta-upgrades (or rebuilds) on
-        # version mismatch, so the next engine evaluation finds it hot
-        # instead of rebuilding on the serving path.  This is also the
-        # workspace-side driver of hook 'graph.label_index' (REP310).
+            counters["neighborhood_states_dropped"] += neighborhoods.refresh(target)
+        # Keeps hook 'graph.label_index' reachable from refresh (REP310):
+        # label_index() splices the graph-owned index through the journal
+        # (or rebuilds it), so a caller that evaluates after a tick, such
+        # as bench_churn, finds it already current.
         target.label_index()
 
     def stats(self) -> Dict[str, Any]:

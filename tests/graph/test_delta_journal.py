@@ -14,6 +14,16 @@ def edges_of(graph):
     return set(graph.edges())
 
 
+def labels_named(deltas):
+    """Labels carried by any edge the deltas added or removed."""
+    return {
+        label
+        for delta in deltas
+        for edges in (delta.edges_added, delta.edges_removed)
+        for _, label, _ in edges
+    }
+
+
 class TestRecording:
     def test_add_node_records_delta(self):
         graph = LabeledGraph()
@@ -68,7 +78,7 @@ class TestRecording:
             ("b", "w", "b"),
         }
 
-    def test_labels_and_touched_nodes(self):
+    def test_nodes_changed(self):
         delta = GraphDelta(
             3,
             4,
@@ -76,8 +86,6 @@ class TestRecording:
             edges_removed=(("c", "y", "d"),),
             nodes_removed=("e",),
         )
-        assert delta.labels_touched == {"x", "y"}
-        assert delta.touched_nodes == {"a", "b", "c", "d", "e"}
         assert delta.nodes_changed
 
 
@@ -289,9 +297,7 @@ class TestLabelIndexDeltaRefresh:
                     random_delta()
             else:
                 bridge()
-            named = set()
-            for delta in graph.deltas_since(version):
-                named |= delta.labels_touched
+            named = labels_named(graph.deltas_since(version))
             after = graph.label_index()
             assert after._rev == GraphLabelIndex(graph)._rev
             for label in sorted(before.labels() - named):

@@ -1,6 +1,8 @@
-"""Property tests: delta-refreshed structures are bit-identical to scratch
-rebuilds over random graphs x random add/remove tick sequences, and
-refresh stays precise when two graphs mutate interleaved."""
+"""Property tests: delta-refreshed language indexes are bit-identical to
+scratch rebuilds over random graphs x random add/remove tick sequences,
+engine answers and neighbourhood balls of an older version are dropped
+and rebuilt equal to scratch, and refresh stays precise when two graphs
+mutate interleaved."""
 
 import random
 
@@ -29,6 +31,25 @@ def random_tick(rng: random.Random, graph: LabeledGraph, *, churn: int = 4):
         for _ in range(churn)
     ]
     graph.apply_delta(add_edges=admit, remove_edges=retire)
+
+
+def mixed_ticks(rng: random.Random, graph: LabeledGraph, keep):
+    """Edge ticks, a node added with an edge, a node outside ``keep``
+    removed, and one run of ticks the journal cannot bridge; yields after each."""
+    for tick in range(6):
+        if tick == 1:
+            anchor = rng.choice(sorted(graph.nodes(), key=str))
+            graph.apply_delta(add_edges=[("fresh", rng.choice(ALPHABET), anchor)])
+        elif tick == 2:
+            graph.remove_node(rng.choice(sorted(set(graph.nodes()) - set(keep), key=str)))
+        elif tick == 4:
+            version = graph.version
+            for _ in range(graph.journal_limit + 1):
+                random_tick(rng, graph, churn=1)
+            assert graph.deltas_since(version) is None
+        else:
+            random_tick(rng, graph, churn=2)
+        yield tick
 
 
 def picked_by_node(index: LanguageIndex, banned_nodes) -> dict:
@@ -146,22 +167,31 @@ class TestLanguageIndexProperty:
 
 class TestEngineAnswersProperty:
     @pytest.mark.parametrize("seed", [11, 57])
-    def test_retained_answers_equal_fresh_evaluation(self, seed):
+    def test_answers_equal_fresh_evaluation(self, seed):
         rng = random.Random(seed)
         graph = random_graph(16, 36, ALPHABET, seed=seed)
         engine = QueryEngine()
         engine.evaluate_many(graph, QUERIES)
-        for _ in range(5):
-            random_tick(rng, graph, churn=2)
-            engine.refresh(graph)
+        for tick in mixed_ticks(rng, graph, ()):
+            stale = engine._answer_caches[graph]
+            held = len(stale.answers)
+            before = engine.stats()
+            if tick % 2:  # odd ticks refresh, even ones drop on access
+                assert engine.refresh(graph) == {"answers_dropped": held}
+                assert engine._answer_caches[graph].answers == {}
             answers = engine.evaluate_many(graph, QUERIES)
+            cache = engine._answer_caches[graph]
+            assert cache is not stale and cache.version == graph.version
+            # no answer of the older version served: every query evaluated again
+            after = engine.stats()
+            assert after["answer_hits"] == before["answer_hits"]
+            assert after["answer_misses"] == before["answer_misses"] + len(QUERIES)
+            assert after["answers_dropped"] == before["answers_dropped"] + held
             cold = QueryEngine()
             expected = cold.evaluate_many(graph, QUERIES)
             assert answers == expected
-        stats = engine.stats()
-        assert stats["delta_refreshes"] > 0
 
-    def test_label_disjoint_answer_survives_identity(self):
+    def test_label_disjoint_answer_is_evaluated_again(self):
         graph = LabeledGraph.from_edges(
             [("a", "x", "b"), ("b", "y", "c"), ("c", "z", "a")]
         )
@@ -169,10 +199,11 @@ class TestEngineAnswersProperty:
         answer_before = engine.evaluate(graph, "y")
         graph.add_edge("b", "x", "c")  # touches only label x
         engine.refresh(graph)
-        hits_before = engine.stats()["answer_hits"]
+        misses_before = engine.stats()["answer_misses"]
         answer_after = engine.evaluate(graph, "y")
-        assert engine.stats()["answer_hits"] == hits_before + 1
-        assert answer_after is answer_before  # the very same frozenset
+        assert engine.stats()["answer_misses"] == misses_before + 1
+        assert answer_after == answer_before
+        assert answer_after is not answer_before
 
     def test_empty_word_plans_drop_on_node_change(self):
         graph = LabeledGraph.from_edges([("a", "x", "b")])
@@ -185,44 +216,36 @@ class TestEngineAnswersProperty:
 
 class TestNeighborhoodProperty:
     @pytest.mark.parametrize("seed", [13, 77])
-    def test_kept_states_equal_scratch_bfs(self, seed):
+    def test_balls_equal_scratch_bfs(self, seed):
         rng = random.Random(seed)
         graph = random_graph(20, 30, ALPHABET, seed=seed)
         index = NeighborhoodIndex(graph)
         centers = sorted(graph.nodes(), key=str)[:6]
-        deepened = 0
-        for _ in range(5):
-            for center in centers:
-                index.neighborhood(center, 2)
-            # a second index explored to depth 1 only when the tick lands:
-            # the states it keeps are deepened on the new version below
-            shallow = NeighborhoodIndex(graph)
-            for center in centers:
-                shallow.neighborhood(center, 0)
-            random_tick(rng, graph, churn=2)
-            index.refresh(graph)
-            shallow.refresh(graph)
-            deepened += sum(not state.exhausted for state in shallow._states.values())
+        for center in centers:
+            index.neighborhood(center, 2)
+        for tick in mixed_ticks(rng, graph, centers):
+            stale = list(index._states.values())
+            if tick % 2:  # odd ticks refresh, even ones drop on access
+                assert index.refresh(graph) == len(centers)
+                assert not index._states
             scratch = NeighborhoodIndex(graph)
             for center in centers:
-                assert_same_fragment(index.neighborhood(center, 2), scratch.neighborhood(center, 2))
                 for radius in (2, 3, 5):
                     assert_same_fragment(
-                        shallow.neighborhood(center, radius), scratch.neighborhood(center, radius)
+                        index.neighborhood(center, radius), scratch.neighborhood(center, radius)
                     )
-                assert shallow.eccentricity_bound(center) == scratch.eccentricity_bound(center)
-        assert deepened > 0
+                assert index.eccentricity_bound(center) == scratch.eccentricity_bound(center)
+            # no BFS state of the older version survived the access
+            assert not any(state is old for state in index._states.values() for old in stale)
 
-    def test_disjoint_state_survives_refresh(self):
+    def test_disjoint_state_is_dropped_by_refresh(self):
         graph = LabeledGraph.from_edges([("a", "x", "b"), ("c", "y", "d")])
         index = NeighborhoodIndex(graph)
         index.neighborhood("a", 1)
         index.neighborhood("c", 1)
-        state_a = index._states["a"]
-        graph.add_edge("c", "z", "d")
-        kept, dropped = index.refresh(graph)
-        assert (kept, dropped) == (1, 1)
-        assert index._states["a"] is state_a
+        graph.add_edge("c", "z", "d")  # far from the ball of a
+        assert index.refresh(graph) == 2
+        assert "a" not in index._states
 
 
 class TestInterleavedPrecision:
@@ -261,18 +284,15 @@ class TestInterleavedPrecision:
             "language_indexes_refreshed",
             "language_indexes_dropped",
             "fingerprints_dropped",
-            "answers_retained",
             "answers_dropped",
-            "neighborhood_states_kept",
             "neighborhood_states_dropped",
         }
         assert counters["language_indexes_refreshed"] == 1
         assert counters["fingerprints_dropped"] == 1
-        # the unmutated graph loses nothing: its one warmed ball is kept
-        untouched = workspace.refresh(right)
-        assert {key: value for key, value in untouched.items() if value} == {
-            "neighborhood_states_kept": 1
-        }
+        assert counters["answers_dropped"] == 1
+        assert counters["neighborhood_states_dropped"] == 1
+        # the unmutated graph loses nothing
+        assert workspace.refresh(right) == dict.fromkeys(counters, 0)
 
     def test_refresh_without_graph_reaches_engine_only_graphs(self):
         """A graph that only the engine holds answers for is refreshed by
@@ -291,8 +311,8 @@ class TestInterleavedPrecision:
         workspace, graph = engine_only_graph_after_a_mutation()
         unscoped = workspace.refresh()
         assert unscoped == scoped
-        assert (unscoped["answers_retained"], unscoped["answers_dropped"]) == (1, 1)
-        assert workspace.engine.stats()["delta_refreshes"] == 1
+        assert unscoped["answers_dropped"] == 2
+        assert workspace.engine.stats()["answers_dropped"] == 2
         assert workspace.engine.evaluate(graph, "x") == {"a", "c"}
 
     def test_interleaved_mutations_both_graphs_stay_correct(self):

@@ -64,9 +64,8 @@ class TestHookedPathsRun:
         graph = self._graph()
         engine.evaluate(graph, "y")
         graph.add_edge("b", "x", "c")
-        counters = engine.refresh(graph)
-        assert counters["delta_refreshes"] == 1
-        assert counters["answers_retained"] == 1
+        assert engine.refresh(graph) == {"answers_dropped": 1}
+        assert engine._answer_caches[graph].answers == {}
 
     def test_workspace_language_index_hook(self):
         workspace = GraphWorkspace()
@@ -86,5 +85,5 @@ class TestHookedPathsRun:
         nb.neighborhood("a", 1)
         graph.add_edge("a", "q", "b")
         counters = workspace.refresh(graph)
-        assert counters["neighborhood_states_kept"] == 1
-        assert counters["neighborhood_states_dropped"] == 1
+        assert counters["neighborhood_states_dropped"] == 2
+        assert not nb._states

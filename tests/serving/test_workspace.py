@@ -13,7 +13,7 @@ from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
 from repro.learning.language_index import LanguageIndex
 from repro.query.engine import QueryEngine
-from repro.serving import GraphWorkspace, default_workspace, reset_default_workspace
+from repro.serving import GraphWorkspace, SessionManager, default_workspace, reset_default_workspace
 
 
 class TestLanguageIndexRegistry:
@@ -218,3 +218,33 @@ class TestDefaultWorkspace:
         assert GraphWorkspace().engine is not GraphWorkspace().engine
         engine = QueryEngine()
         assert GraphWorkspace(engine=engine).engine is engine
+
+
+class TestCountersThePerfBenchmarkReads:
+    """``benchmarks/perf`` indexes these ``stats()`` keys directly, so a
+    rename would otherwise surface only as a ``KeyError`` in a perf run."""
+
+    @staticmethod
+    def assert_int_counters(stats, keys):
+        assert {key: type(stats.get(key)) for key in keys} == dict.fromkeys(keys, int)
+
+    def test_workspace_stats(self):
+        stats = GraphWorkspace().stats()
+        self.assert_int_counters(
+            stats,
+            (
+                "language_index_builds",
+                "language_index_restrictions",
+                "language_index_refreshes",
+                "language_index_hits",
+                "memo_hits",
+                "memo_misses",
+            ),
+        )
+        self.assert_int_counters(
+            stats["engine"], ("answer_hits", "answer_misses", "plan_hits", "plan_misses")
+        )
+        self.assert_int_counters(stats["canonical"], ("hits", "misses"))
+
+    def test_session_manager_stats(self):
+        self.assert_int_counters(SessionManager(GraphWorkspace()).stats(), ("admitted", "deduped"))
