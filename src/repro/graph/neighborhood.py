@@ -6,9 +6,9 @@ nodes and edges at distance at most ``k`` from it (initially ``k = 2``,
 Figure 3(a)).  The user may *zoom out*, which increases ``k`` by one
 (Figure 3(b)); the newly revealed nodes and edges are highlighted.
 
-The neighbourhood also records its *frontier*: the nodes of the fragment
-that still have edges leaving the fragment.  The front-end renders those
-as ``...`` continuations, exactly as in the figures of the paper.
+The neighbourhood also has a *frontier*: the nodes of the fragment that
+still have edges leaving the fragment.  The front-end renders those as
+``...`` continuations, exactly as in the figures of the paper.
 
 Distance ignores edge direction, as in the paper's figures, where
 incoming and outgoing context both help the user decide.
@@ -18,10 +18,11 @@ The module is incremental: a :class:`NeighborhoodIndex` caches BFS
 last frontier by ``step`` layers instead of re-running BFS from radius
 0, and the zoom delta is read off the layer structure instead of
 diffing full fragment snapshots.  A fragment of radius ``r`` explores
-layers up to ``r + 1`` only, the layer its frontier needs.
-:class:`Neighborhood` materialises its induced subgraph (and edge set)
-lazily — a simulated session that only asks "is this witness node
-visible?" never pays for fragment construction at all.
+layers up to ``r + 1`` only: whether it has a frontier at all is whether
+layer ``r + 1`` exists, which is all the session's zoom ladder asks.
+:class:`Neighborhood` computes its frontier set, induced subgraph and
+edge set lazily — a simulated session that only asks "is this witness
+node visible?" never pays for any of them.
 """
 
 from __future__ import annotations
@@ -53,19 +54,25 @@ class Neighborhood:
     frontier:
         Nodes of the fragment that have at least one edge (in either
         direction) to a node outside the fragment; rendered as ``...``.
-        Empty exactly when zooming out would reveal nothing.
+        Computed on first access.
+    has_frontier:
+        Whether :attr:`frontier` is non-empty, that is, whether zooming
+        out would reveal anything; known without computing the frontier.
 
     The fragment is a value snapshot of the graph at extraction time:
-    the node set, distances and frontier are fixed eagerly, while the
-    induced subgraph and edge set are derived lazily from the base graph
-    and raise a :class:`RuntimeError` if the base graph was mutated
-    before their first access (materialise before mutating).
+    the node set, distances and :attr:`has_frontier` are fixed at
+    extraction, while the frontier, the induced subgraph and the edge set
+    are derived lazily from the base graph and raise a
+    :class:`RuntimeError` if the base graph was mutated before their first
+    access (materialise before mutating).
     """
 
     __slots__ = (
         "center",
         "radius",
-        "frontier",
+        "_has_frontier",
+        "_frontier",
+        "_bfs",
         "_layers",
         "_source",
         "_source_version",
@@ -83,11 +90,16 @@ class Neighborhood:
         layers: Tuple[Tuple[Node, ...], ...],
         source: LabeledGraph,
         source_version: int,
-        frontier: FrozenSet[Node],
+        bfs: "_BfsState",
     ):
         self.center = center
         self.radius = radius
-        self.frontier = frontier
+        # layer radius + 1 exists exactly when some fragment node has an
+        # outside neighbour: every node of that layer has one in layer radius
+        self._has_frontier = len(bfs.layers) > radius + 1
+        self._frontier: Optional[FrozenSet[Node]] = None
+        # read by the frontier's first computation, then released
+        self._bfs: Optional[_BfsState] = bfs
         self._layers = layers
         self._source: Optional[LabeledGraph] = source
         # repro-lint: disable=REP302 -- value snapshot, not a cache: staleness is surfaced by _check_fresh() on access and fragments are re-extracted, never refreshed in place
@@ -122,12 +134,28 @@ class Neighborhood:
             self._node_set = node_set
         return node_set
 
+    @property
+    def has_frontier(self) -> bool:
+        """True when the fragment has a frontier: zooming out reveals more."""
+        return self._has_frontier
+
     def _check_fresh(self) -> None:
         if self._source.version != self._source_version:
             raise RuntimeError(
                 "the base graph mutated since this neighbourhood was extracted; "
-                "materialise `.graph` / `.edges` before mutating, or re-extract"
+                "materialise `.graph` / `.edges` / `.frontier` before mutating, "
+                "or re-extract"
             )
+
+    @property
+    def frontier(self) -> FrozenSet[Node]:
+        """Fragment nodes with an edge to a node outside it, computed on first access."""
+        frontier = self._frontier
+        if frontier is None:
+            self._check_fresh()
+            frontier = self._frontier = self._bfs.boundary(self._source, self.radius)
+            self._bfs = None
+        return frontier
 
     @property
     def graph(self) -> LabeledGraph:
@@ -135,10 +163,12 @@ class Neighborhood:
 
         Materialising releases the reference to the base graph: a
         retained fragment then pins only itself, not the full graph.
+        The frontier, which reads the base graph, is computed first.
         """
         fragment = self._graph
         if fragment is None:
             self._check_fresh()
+            _ = self.frontier
             fragment = self._source.subgraph(
                 self.nodes, name=f"{self._source.name}:N({self.center},{self.radius})"
             )
@@ -380,7 +410,7 @@ class NeighborhoodIndex:
             raise ValueError(f"radius must be non-negative, got {radius}")
         graph = self.graph
         state = self._state(graph, center)
-        # +1 so the boundary frontier is known from the layer structure
+        # +1 so whether a frontier exists is known from the layer structure
         state.ensure_radius(graph, radius + 1)
         return Neighborhood(
             center,
@@ -388,7 +418,7 @@ class NeighborhoodIndex:
             layers=tuple(state.layers[: radius + 1]),
             source=graph,
             source_version=graph.version,
-            frontier=state.boundary(graph, radius),
+            bfs=state,
         )
 
     def zoom(self, neighborhood: Neighborhood, *, step: int = 1) -> NeighborhoodDelta:
@@ -454,7 +484,7 @@ class NeighborhoodIndex:
         """Smallest radius whose neighbourhood covers everything reachable.
 
         Runs the BFS to the end of the component; the session's zoom
-        ladder reads :attr:`Neighborhood.frontier` instead.
+        ladder reads :attr:`Neighborhood.has_frontier` instead.
         """
         graph = self.graph
         state = self._state(graph, center)
@@ -511,6 +541,6 @@ def eccentricity_bound(graph: LabeledGraph, center: Node) -> int:
 
     Zooming out beyond this radius never reveals anything new.  This
     runs the BFS to the end of the component; to decide whether one
-    more zoom reveals anything, test the fragment's ``frontier``.
+    more zoom reveals anything, test the fragment's ``has_frontier``.
     """
     return _shared_index(graph).eccentricity_bound(center)

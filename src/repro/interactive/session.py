@@ -337,6 +337,9 @@ class InteractiveSession:
         whose answer may have side effects.  The whole ladder runs on the
         session's shared :class:`NeighborhoodIndex`, so it costs one BFS
         per proposed node, explored one layer past the fragment shown.
+        The ladder reads :attr:`Neighborhood.has_frontier`, which that
+        extra layer already answers, so no frontier set is computed
+        unless the user's view reads one.
         """
         index = self.neighborhoods
         radius = DEFAULT_INITIAL_RADIUS
@@ -344,7 +347,7 @@ class InteractiveSession:
         zooms = 0
         while (
             radius < DEFAULT_MAX_RADIUS
-            and neighborhood.frontier
+            and neighborhood.has_frontier
             and self.user.wants_zoom(node, neighborhood)
         ):
             radius += 1

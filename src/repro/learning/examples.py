@@ -144,6 +144,10 @@ class ExampleSet:
         """The full labelling history, in order."""
         return tuple(self._history)
 
+    def __len__(self) -> int:
+        """Number of labels in the history, read without copying it."""
+        return len(self._history)
+
     def events_since(self, position: int) -> List[LabeledExample]:
         """The labels appended to the history after its first ``position`` entries."""
         return self._history[position:]

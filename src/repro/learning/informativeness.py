@@ -34,7 +34,10 @@ facts about a session: the example set only grows, and so a node's score
 never improves and an uninformative node never becomes informative again.
 It therefore reads only the labels added since its last look, keeps one
 informative bit per node instead of a status per node, and finds the top
-node on a heap of stale scores, rescoring only the nodes it pops.
+node on a heap of stale scores, rescoring only the nodes it pops.  Every
+session on one ``(graph, version, bound)`` starts from the same empty
+example set, so the first one stores its informative bits and initial
+heap on the language index and the others copy them.
 """
 
 from __future__ import annotations
@@ -189,6 +192,13 @@ class SessionClassifier:
     nodes it pops: a popped node whose exact key equals its stored key
     is the exact top.  Statuses are built only by :meth:`statuses`.
 
+    With no cover, no validated word and no labelled node, the state
+    depends on the index alone, so it lives there
+    (:attr:`~repro.learning.language_index.LanguageIndex.start_informative`,
+    :attr:`~repro.learning.language_index.LanguageIndex.start_keys`): the
+    first classifier stores it, and later ones copy the bits and the key
+    tuple instead of scoring every node.  Each pops its own list.
+
     Results equal :func:`classify_all_scratch` and
     :func:`_ranked_informative` at all times; the property tests in
     ``tests/learning/test_language_index.py`` pin this.
@@ -229,15 +239,20 @@ class SessionClassifier:
         for position in map(index.node_positions.get, examples.labeled_nodes):
             if position is not None:  # a label outside the graph classifies nothing
                 labeled |= 1 << position
-        informative = 0
-        uncovered_mask = ~cover
-        language_of = index.language
-        for position, node in enumerate(index.nodes):
-            language = language_of(node)
-            if language & uncovered_mask and not language & validated_bits:
-                informative |= 1 << position
+        at_start = not (cover or validated_bits or labeled)
+        informative = index.start_informative if at_start else None
+        if informative is None:
+            informative = 0
+            uncovered_mask = ~cover
+            language_of = index.language
+            for position, node in enumerate(index.nodes):
+                language = language_of(node)
+                if language & uncovered_mask and not language & validated_bits:
+                    informative |= 1 << position
+            if at_start:
+                index.start_informative = informative
         self._index: LanguageIndex = index
-        self._position = len(examples.history)
+        self._position = len(examples)
         self._cover = cover
         self._validated = validated
         self._validated_bits = validated_bits
@@ -312,6 +327,23 @@ class SessionClassifier:
         self._informative = informative
         return True
 
+    def _initial_heap(self) -> List[int]:
+        """A new heap of the exact keys of the informative nodes.
+
+        With no cover, no validated word and no labelled node the
+        classifier is at its index's start state, so the heap is a copy
+        of the index's stored one; the first classifier there stores it.
+        """
+        index = self._index
+        at_start = not (self._cover or self._validated_bits or self._labeled)
+        if at_start and index.start_keys is not None:
+            return list(index.start_keys)
+        heap = list(map(self._key, iter_bits(self._informative)))
+        heapq.heapify(heap)
+        if at_start:
+            index.start_keys = tuple(heap)
+        return heap
+
     def _key(self, position: int) -> int:
         """The exact packed heap key of the node at ``position``."""
         index = self._index
@@ -367,8 +399,7 @@ class SessionClassifier:
         self.refresh()
         heap = self._heap
         if heap is None:
-            heap = self._heap = list(map(self._key, iter_bits(self._informative)))
-            heapq.heapify(heap)
+            heap = self._heap = self._initial_heap()
         informative = self._informative
         order = self._index.str_order
         rank_mask = (1 << self._rank_bits) - 1

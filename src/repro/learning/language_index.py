@@ -175,6 +175,13 @@ class LanguageIndex:
     walking.  Word ids come out by length, every length-1 word first.
     All word sets handed out are Python ints indexed by arena word id;
     all node sets are ints indexed by position in :attr:`nodes`.
+
+    The index also carries the informativeness start state of an empty
+    example set (:attr:`start_informative` and :attr:`start_keys`): the
+    first session classifier over the index stores it, and every later
+    session on the same ``(graph, version, bound)`` copies it instead of
+    scoring every node again.  A :meth:`refreshed` index and a
+    :meth:`restricted` view start without one.
     """
 
     __slots__ = (
@@ -188,6 +195,8 @@ class LanguageIndex:
         "_languages",
         "_spellers",
         "_length_masks",
+        "start_informative",
+        "start_keys",
     )
 
     #: delta-refreshed (or dropped) by GraphWorkspace.refresh()
@@ -218,6 +227,9 @@ class LanguageIndex:
         #: word id -> bitset of node positions that can spell the word
         self._spellers: Dict[int, int] = {}
         self._length_masks: Optional[List[int]] = None
+        #: the start state of an empty example set: written once, then only read
+        self.start_informative: Optional[int] = None
+        self.start_keys: Optional[Tuple[int, ...]] = None
         self._walk(graph, self.nodes)
 
     def _walk(self, graph: LabeledGraph, nodes: Iterable[Node]) -> None:
@@ -513,6 +525,8 @@ class LanguageIndex:
         sibling._languages = languages
         sibling._spellers = spellers
         sibling._length_masks = None
+        sibling.start_informative = None
+        sibling.start_keys = None
         return sibling
 
     # ------------------------------------------------------------------

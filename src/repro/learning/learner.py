@@ -163,7 +163,7 @@ class PathQueryLearner:
         """
         last_call, self._last_call = self._last_call, None  # a call that raises forgets it
         # read before the examples are: a label appended meanwhile is left to the next call
-        position = len(examples.history)
+        position = len(examples)
         graph = self.graph
         key = (examples, graph, graph.version, self.max_path_length, self.generalize)
         same_key = last_call is not None and last_call[0] == key

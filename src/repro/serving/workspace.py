@@ -49,7 +49,7 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.automata.canonical import CanonicalFormCache, shared_canonical_cache
 from repro.graph.labeled_graph import LabeledGraph
@@ -173,38 +173,57 @@ class GraphWorkspace:
                 if index is not None:
                     self._language_hits += 1
                     return index
-                held = self._language.get(graph, {})
-                largest = max((bound for bound in held if bound >= max_length), default=None)
-                source = held.get(largest)
+                held = dict(self._language.get(graph, {}))
             try:
                 self._check_fault("workspace.language_index")
-                parent = source.refreshed(graph) if source is not None else None
-                if parent is None:
+                if held and max(held) >= max_length:
+                    index = self._catch_up(graph, held, {max(held), max_length})[max_length]
+                if index is None:
                     index = LanguageIndex(graph, max_length)
-                elif largest > max_length:
-                    index = parent.restricted(max_length)
-                else:
-                    index = parent
+                    with self._lock:
+                        self._language_builds += 1
+                        self._language.setdefault(graph, {})[max_length] = index
             except BaseException:
                 self._record_failed_build(key)
                 raise
-            with self._lock:
-                per_graph = self._language.get(graph)
-                if per_graph is None:
-                    per_graph = self._language.setdefault(graph, {})
-                if parent is None:
-                    self._language_builds += 1
-                    if source is not None and per_graph.get(largest) is source:
-                        del per_graph[largest]  # the journal cannot bridge it
-                else:
-                    if parent is not source:
-                        self._language_refreshes += 1
-                        if per_graph.get(largest) is source:
-                            per_graph[largest] = parent
-                    if index is not parent:
-                        self._language_restrictions += 1
-                per_graph[max_length] = index
         return index
+
+    def _catch_up(
+        self, graph: LabeledGraph, held: Dict[int, LanguageIndex], bounds: Iterable[int], counters=None
+    ) -> Dict[int, Optional[LanguageIndex]]:
+        """``graph``'s indexes at ``bounds``, caught up from the largest one ``held``.
+
+        ``held`` is the graph's registry as read under the lock.  The largest
+        bound is walked through the delta journal and restricted to the
+        others outside the lock; every bound maps to ``None`` when the
+        journal cannot bridge the gap.  An entry is stored, or dropped for
+        ``None``, and counted (also in the ``refresh()`` ``counters`` when
+        given) only where the registry still holds what ``held`` did, so
+        losing a race is benign.
+        """
+        largest = max(held)
+        parent = held[largest].refreshed(graph)
+        caught = {
+            bound: parent if parent is None or bound == largest else parent.restricted(bound)
+            for bound in bounds
+        }
+        with self._lock:
+            registry = self._language.get(graph, {})
+            for bound, fresh in caught.items():
+                if fresh is held.get(bound) or registry.get(bound) is not held.get(bound):
+                    continue  # already current, or replaced or dropped by a concurrent caller
+                if fresh is None:
+                    del registry[bound]
+                else:
+                    registry[bound] = fresh
+                    if bound == largest:
+                        self._language_refreshes += 1
+                    else:
+                        self._language_restrictions += 1
+                if counters is not None:
+                    outcome = "dropped" if fresh is None else "refreshed"
+                    counters[f"language_indexes_{outcome}"] += 1
+        return caught
 
     def _current_language_index(
         self, graph: LabeledGraph, max_length: int
@@ -377,29 +396,7 @@ class GraphWorkspace:
             neighborhoods = self._neighborhoods.get(target)
         stale = [bound for bound, index in held.items() if index.version != target.version]
         if stale:
-            # walk the largest bound only, restrict it to the others, all outside the
-            # registry lock; the identity re-check below makes losing a race benign
-            largest = max(held)
-            parent = held[largest].refreshed(target)
-            upgrades = {
-                bound: parent if parent is None or bound == largest else parent.restricted(bound)
-                for bound in stale
-            }
-            with self._lock:
-                registry = self._language.get(target, {})
-                for bound, fresh in upgrades.items():
-                    if registry.get(bound) is not held[bound]:
-                        continue  # replaced or dropped by a concurrent caller
-                    if fresh is None:
-                        del registry[bound]
-                        counters["language_indexes_dropped"] += 1
-                        continue
-                    registry[bound] = fresh
-                    counters["language_indexes_refreshed"] += 1
-                    if bound == largest:
-                        self._language_refreshes += 1
-                    else:
-                        self._language_restrictions += 1
+            self._catch_up(target, held, stale, counters)
         with self._lock:
             cached = self._fingerprints.get(target)
             if cached is not None and cached[0] != target.version:

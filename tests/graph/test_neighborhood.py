@@ -53,12 +53,17 @@ def _scratch_extract(graph, center, radius):
     return distances, fragment, frozenset(boundary)
 
 
-def _assert_matches_scratch(graph, neighborhood):
+def _assert_matches_scratch(graph, neighborhood, *, graph_first=False):
     distances, fragment, boundary = _scratch_extract(graph, neighborhood.center, neighborhood.radius)
+    assert neighborhood.has_frontier == bool(boundary)
+    if graph_first:
+        # materialising releases the base graph, so the frontier is computed first
+        assert neighborhood.graph.structurally_equal(fragment)
     assert neighborhood.distances == distances
     assert neighborhood.nodes == frozenset(fragment.nodes())
     assert neighborhood.edges == frozenset(fragment.edges())
     assert neighborhood.frontier == boundary
+    assert neighborhood.has_frontier == bool(neighborhood.frontier)
     assert neighborhood.graph.structurally_equal(fragment)
 
 
@@ -69,9 +74,15 @@ class TestIndexMatchesScratchOracle:
             index = NeighborhoodIndex(graph)
             centers = sorted(graph.nodes(), key=str)[:: 13]
             for center in centers:
-                for radius in (0, 1, 2, 4):
-                    neighborhood = index.neighborhood(center, radius)
-                    _assert_matches_scratch(graph, neighborhood)
+                # every fragment is read only once the BFS has been extended
+                # for the largest radius, as a zoom ladder extends it
+                fragments = [
+                    (index.neighborhood(center, radius), graph_first)
+                    for radius in (0, 1, 2, 4)
+                    for graph_first in (False, True)
+                ]
+                for neighborhood, graph_first in fragments:
+                    _assert_matches_scratch(graph, neighborhood, graph_first=graph_first)
 
     def test_zoom_delta_equals_scratch_delta(self):
         for seed in range(4):
@@ -129,13 +140,27 @@ class TestIndexBehaviour:
         with pytest.raises(RuntimeError):
             neighborhood.graph  # noqa: B018 - materialisation is the side effect
 
+    def test_lazy_frontier_raises_after_mutation(self, figure1_graph):
+        graph = figure1_graph.copy()
+        neighborhood = extract_neighborhood(graph, "N2", 2)
+        assert neighborhood.has_frontier  # fixed at extraction, so still readable
+        graph.add_edge("N2", "tram", "C1")
+        assert neighborhood.has_frontier
+        with pytest.raises(RuntimeError):
+            neighborhood.frontier  # noqa: B018 - computing the frontier is the side effect
+        with pytest.raises(RuntimeError):
+            neighborhood.edges  # noqa: B018 - the same contract
+
     def test_materialised_fragment_survives_mutation(self, figure1_graph):
         graph = figure1_graph.copy()
+        _, _, boundary = _scratch_extract(graph, "N2", 2)
         neighborhood = extract_neighborhood(graph, "N2", 2)
         fragment = neighborhood.graph
         graph.add_edge("N2", "tram", "C1")
         assert "C1" not in fragment
         assert neighborhood.graph is fragment
+        # the frontier was computed before the base graph was released
+        assert neighborhood.frontier == boundary
 
     def test_unknown_center_raises(self, figure1_graph):
         index = NeighborhoodIndex(figure1_graph)

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import SessionFinishedError
 from repro.graph.generators import chain_graph, random_graph
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.neighborhood import NeighborhoodIndex
+from repro.graph.neighborhood import NeighborhoodIndex, _BfsState
 from repro.interactive.halt import UserSatisfied
 from repro.interactive.oracle import NoisyUser, SimulatedUser
 from repro.interactive.session import (
@@ -273,6 +273,18 @@ class TestZoomLadder:
             assert shown.nodes == expected.nodes
             assert (shown.radius, zooms) == (expected.radius, expected_zooms)
             assert user.asked == reference_user.asked
+
+    def test_ladder_computes_no_frontier_set(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the zoom ladder computed a frontier set")
+
+        monkeypatch.setattr(_BfsState, "boundary", fail)
+        graph = random_graph(40, 70, ("a", "b"), seed=6)
+        workspace = GraphWorkspace()
+        user = SimulatedUser(graph, "a . b", zoom_patience=4, workspace=workspace)
+        result = InteractiveSession(graph, user, workspace=workspace).run()
+        assert result.total_zooms > 0
+        assert result.halted_by == "no-informative-node"
 
     def test_ladder_explores_one_layer_past_the_fragment_shown(self):
         graph = chain_graph(30)

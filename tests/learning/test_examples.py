@@ -3,7 +3,10 @@
 import pytest
 
 from repro.exceptions import InconsistentExamplesError
+from repro.interactive.oracle import SimulatedUser
+from repro.interactive.session import InteractiveSession
 from repro.learning.examples import ExampleSet, LabeledExample
+from repro.serving.workspace import GraphWorkspace
 
 
 class TestLabeling:
@@ -178,3 +181,23 @@ class TestHistoryCursor:
         assert clone.events_since(0)[:1] == examples.events_since(0)
         assert [example.node for example in clone.events_since(1)] == ["b"]
         assert examples.events_since(1) == []
+
+    def test_length_counts_the_history(self):
+        examples = ExampleSet()
+        assert len(examples) == 0
+        examples.add_positive("a", validated_word=("x",))
+        examples.add_negative("b", propagated=True)
+        examples.add_positive("a", validated_word=("y",))
+        assert len(examples) == len(examples.history) == 3
+
+    def test_a_session_never_copies_the_history(self, figure1_graph, monkeypatch):
+        # the learner and the classifier take the cursor position from len()
+        def copied(self):
+            raise AssertionError("the history was copied")
+
+        monkeypatch.setattr(ExampleSet, "history", property(copied))
+        workspace = GraphWorkspace()
+        user = SimulatedUser(figure1_graph, "(tram + bus)* . cinema", workspace=workspace)
+        result = InteractiveSession(figure1_graph, user, workspace=workspace).run()
+        assert result.interactions > 1
+        assert result.halted_by == "no-informative-node"

@@ -50,6 +50,15 @@ def language_index_for(graph, max_length):
     return default_workspace().language_index(graph, max_length)
 
 
+def random_tick(rng, graph, *, churn=2):
+    """Retire ``churn`` random edges and admit ``churn`` random ones."""
+    nodes = sorted(graph.nodes(), key=str)
+    graph.apply_delta(
+        add_edges=[(rng.choice(nodes), rng.choice("abc"), rng.choice(nodes)) for _ in range(churn)],
+        remove_edges=rng.sample(sorted(graph.edges()), churn),
+    )
+
+
 def session_classifier(workspace, graph, examples, *, max_length):
     """A classifier whose index (re)builds go through ``workspace``, as a session's do."""
     return SessionClassifier(
@@ -662,6 +671,134 @@ class TestCursorFlagsAndHeapMatchScratch:
                 classify_all_scratch(figure1_graph, examples, max_length=3).values()
             )
         )
+
+
+# ----------------------------------------------------------------------
+# the index's shared start state == a private start, after every event
+# ----------------------------------------------------------------------
+def _assert_same_classifier(shared, private):
+    """Equal flags, rankings and implied labels; word sets compared decoded.
+
+    A restricted view's arena also holds its parent's longer words, which a
+    validated word may name; no node spells them within the bound.
+    """
+
+    def words(classifier, bits):
+        decoded = classifier.index.decode(bits)
+        return {word for word in decoded if len(word) <= classifier.max_length}
+
+    assert shared.informative() == private.informative()
+    assert shared.implied_labels() == private.implied_labels()
+    assert shared._informative == private._informative
+    assert shared._labeled == private._labeled
+    assert words(shared, shared._cover) == words(private, private._cover)
+    assert words(shared, shared._validated_bits) == words(private, private._validated_bits)
+
+
+class TestSharedStartEqualsPrivateStart:
+    """Sessions over one workspace start from their index's stored start state.
+
+    Each classifier has a twin over the same example set whose index comes
+    from a private workspace, so the twin scores every node itself.
+    """
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_interleaved_sessions_across_a_refresh(self, seed):
+        rng = random.Random(seed)
+        graph = random_graph(rng.randint(8, 30), rng.randint(20, 90), ("a", "b", "c"), seed=seed)
+        max_length = 1 + seed % 4
+        workspace = GraphWorkspace()
+        if seed % 3 == 1:
+            # the bound is served as a restricted view of a larger one
+            workspace.language_index(graph, max_length + rng.randint(1, 2))
+
+        def start(labels=0):
+            # a classifier may also be built over labels already given, as
+            # the free functions build theirs
+            examples = ExampleSet()
+            for _ in range(labels):
+                _random_event(rng, graph, examples, max_length, None)
+            shared = session_classifier(workspace, graph, examples, max_length=max_length)
+            private = session_classifier(GraphWorkspace(), graph, examples, max_length=max_length)
+            assert shared.index is workspace.language_index(graph, max_length)
+            assert shared.most_informative() == private.most_informative()
+            _assert_same_classifier(shared, private)
+            return examples, shared, private
+
+        # the first session stores the start state, the second copies it
+        sessions = [start()]
+        index = workspace.language_index(graph, max_length)
+        stored = (index.start_informative, index.start_keys)
+        assert None not in stored
+        sessions.append(start())
+        assert (index.start_informative, index.start_keys) == stored
+        for step in range(32):
+            if step in (6, 12):
+                sessions.append(start(labels=rng.randint(1, 2)))
+            if step == 10:
+                if seed % 2:
+                    random_tick(rng, graph)  # the index is caught up through the journal
+                else:
+                    graph.add_edge(f"fresh{seed}", "a", "n0")  # a new node: it is built again
+                workspace.refresh(graph)
+                fresh = workspace.language_index(graph, max_length)
+                assert fresh is not index
+                assert fresh.start_informative is None and fresh.start_keys is None
+                sessions.append(start())
+                assert fresh.start_keys is not None
+            examples, shared, private = rng.choice(sessions)
+            _random_event(rng, graph, examples, max_length, shared)
+            for _, shared, private in sessions:
+                if rng.random() < 0.6:
+                    assert shared.most_informative() == private.most_informative()
+                _assert_same_classifier(shared, private)
+
+    def test_second_session_pays_only_for_the_nodes_it_pops(self, monkeypatch):
+        graph = random_graph(60, 180, ("a", "b", "c"), seed=3)
+        workspace = GraphWorkspace()
+        keys = []
+        languages = []
+        key, language = SessionClassifier._key, LanguageIndex.language
+
+        def counted_key(classifier, position):
+            keys.append(position)
+            return key(classifier, position)
+
+        def counted_language(index, node):
+            languages.append(node)
+            return language(index, node)
+
+        monkeypatch.setattr(SessionClassifier, "_key", counted_key)
+        monkeypatch.setattr(LanguageIndex, "language", counted_language)
+
+        def run_to_first_label():
+            """``_key`` calls up to the first label, and node languages read by construction."""
+            user = SimulatedUser(graph, "a . b", workspace=workspace)
+            answer = user.label
+            seen = []
+
+            def label(node):
+                seen.append(len(keys))
+                return answer(node)
+
+            user.label = label
+            languages.clear()
+            session = InteractiveSession(graph, user, max_path_length=3, workspace=workspace)
+            read = len(languages)
+            keys.clear()
+            session.step()
+            return seen[0], read, session.classifier
+
+        first, first_read, classifier = run_to_first_label()
+        informative = popcount(classifier.index.start_informative)
+        assert informative > 30
+        assert first_read == graph.node_count
+        second, second_read, _ = run_to_first_label()
+        # the first session keyed every informative node to build the heap; the
+        # second copied it and keyed only the node it popped
+        assert second == 1
+        assert first == informative + second
+        assert second_read == 0
 
 
 def _fleet_like_graph():
