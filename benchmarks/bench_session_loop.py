@@ -160,17 +160,17 @@ def _seed_candidate_prefix_tree(graph, node, negatives, max_length, preferred_le
 class _SeedLearner(PathQueryLearner):
     """The learner with the pre-index step (i) and compatibility predicate."""
 
-    def _compatible(self, examples):
+    def _compatible(self, negatives):
         graph = self.graph
         selects = self.engine.selects
-        negatives = sorted(examples.negative_nodes, key=str)
+        negatives = sorted(negatives.negatives, key=str)
 
         def check(candidate):
             return not any(selects(graph, candidate, node) for node in negatives)
 
         return check
 
-    def select_sample_words(self, examples):
+    def select_sample_words(self, examples, negatives):
         chosen = {}
         negatives = examples.negative_nodes
         for node in sorted(examples.positive_nodes, key=str):

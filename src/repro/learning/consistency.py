@@ -114,13 +114,14 @@ def examples_admit_query(graph: LabeledGraph, examples: ExampleSet, *, max_path_
     and the first one in ``str`` order that fails decides, as in the
     learner's step (i): ``False`` when it has no uncovered word,
     :class:`NodeNotFoundError` when it is absent from the graph.
+    Negatives absent from the graph are dropped first.
     """
+    from repro.learning.language_index import CompatibilityOracle
     from repro.learning.path_selection import select_paths
 
+    present = [node for node in examples.negative_nodes if node in graph]
     try:
-        select_paths(
-            graph, examples.positive_nodes, examples.negative_nodes, max_length=max_path_length
-        )
+        select_paths(examples.positive_nodes, CompatibilityOracle(graph, present, max_length=max_path_length))
     except NoConsistentPathError:
         return False
     return True

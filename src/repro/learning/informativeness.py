@@ -143,8 +143,7 @@ def classify_all_scratch(
     """Classify every node by full recomputation.
 
     This is the pre-index reference implementation; it is kept as the
-    oracle that :class:`SessionClassifier` is verified against (and as
-    the baseline of ``benchmarks/bench_session_loop.py``).
+    oracle that :class:`SessionClassifier` is verified against.
     """
     banned = _scratch_cover(graph, examples, max_length)
     validated = set(examples.validated_words().values())
@@ -184,6 +183,10 @@ class SessionClassifier:
       words whose whole language now lies inside the cover;
     * a positive re-added with another validated word, or a new graph
       version, rebuilds from the example set.
+
+    A propagation pass is appended by :meth:`propagate`, which records it
+    in the labelled bits and moves the cursor past it, so a refresh reads
+    only the labels others append, a caller's ``propagated=True`` too.
 
     Scores are never stored.  Because the cover only grows, a node's
     score ``(uncovered word count, shortest uncovered length)`` never
@@ -435,6 +438,26 @@ class SessionClassifier:
             (node, bool(index.language(node) & validated_bits))
             for node in index.nodes_of(implied)
         ]
+
+    def propagate(self) -> List[Tuple[Node, bool]]:
+        """Append every label of :meth:`implied_labels` as propagated, and record the pass.
+
+        While the classifier is current an implied negative's language lies
+        inside the cover and an implied positive carries no validated word,
+        so the pass changes only the labelled bits: after it every node not
+        informative is labelled.  The cursor moves past the pass once every
+        label is in; the next :meth:`refresh` reads a pass cut short.
+        """
+        labels = self.implied_labels()
+        examples = self.examples
+        for node, positive in labels:
+            if positive:
+                examples.add_positive(node, propagated=True)
+            else:
+                examples.add_negative(node, propagated=True)
+        self._labeled = ((1 << len(self._index.nodes)) - 1) & ~self._informative
+        self._position += len(labels)
+        return labels
 
     def __repr__(self) -> str:
         return (

@@ -650,11 +650,11 @@ class CompatibilityOracle:
        product search over the graph's own adjacency — one pass for all
        negatives together, rather than one per negative.
 
-    Instances are cheap (the cover is a few bit-ors over the shared
-    index) and are created per ``learn()`` call; memoisation across merge
-    attempts within one generalisation run happens in
-    :func:`repro.automata.state_merging.generalize_pta`, keyed by the
-    merge partition signature.
+    An instance is also a learn's negative view, one per full learn,
+    shared by step (i), step (ii) and the consistency certificate; the
+    negatives are kept unsorted, since no verdict depends on their order.
+    Memoisation across merge attempts within one generalisation run
+    happens in :func:`repro.automata.state_merging.generalize_pta`.
     """
 
     __slots__ = ("graph", "negatives", "index", "cover_bits", "max_length")
@@ -668,7 +668,7 @@ class CompatibilityOracle:
         index: Optional[LanguageIndex] = None,
     ):
         self.graph = graph
-        self.negatives: Tuple[Node, ...] = tuple(sorted(negatives, key=str))
+        self.negatives: Tuple[Node, ...] = tuple(negatives)
         self.max_length = max_length
         self.index = _resolve_index(graph, max_length, index)
         self.cover_bits = self.index.cover(self.negatives)

@@ -99,12 +99,15 @@ class PathQueryLearner:
     # ------------------------------------------------------------------
     # step (i): choose one uncovered word per positive node
     # ------------------------------------------------------------------
-    def select_sample_words(self, examples: ExampleSet) -> Dict[Node, Word]:
+    def select_sample_words(
+        self, examples: ExampleSet, negatives: CompatibilityOracle
+    ) -> Dict[Node, Word]:
         """Pick the sample word of every positive node.
 
         Validated words are honoured verbatim; for the remaining positive
-        nodes the shortest uncovered word is selected, all of them in one
-        sweep of the language index (:func:`select_paths`).  Raises
+        nodes the shortest word outside the cover of the negative view
+        ``negatives`` is selected, all of them in one sweep of the
+        language index (:func:`select_paths`).  Raises
         :class:`InconsistentExamplesError` when some positive node has no
         uncovered word at all (no consistent query exists within the
         length bound); the first such node in ``str`` order is reported.
@@ -112,11 +115,7 @@ class PathQueryLearner:
         validated = examples.validated_words()
         try:
             chosen = select_paths(
-                self.graph,
-                [node for node in examples.positive_nodes if node not in validated],
-                examples.negative_nodes,
-                max_length=self.max_path_length,
-                index=self.workspace.language_index(self.graph, self.max_path_length),
+                [node for node in examples.positive_nodes if node not in validated], negatives
             )
         except NoConsistentPathError as error:
             raise InconsistentExamplesError(
@@ -130,20 +129,18 @@ class PathQueryLearner:
     # ------------------------------------------------------------------
     # step (ii): PTA + state-merging generalisation
     # ------------------------------------------------------------------
-    def _compatible(self, examples: ExampleSet):
-        """Compatibility predicate: the hypothesis must select no negative node.
+    def _compatible(self, negatives: CompatibilityOracle):
+        """Step (ii)'s predicate: the hypothesis selects no node of the negative view."""
+        return negatives.compatible
 
-        Each merge candidate is intersected with the precompiled negative
-        word-id cover of the shared language index (one graph product pass
-        at most, shared by all negatives).
-        """
-        oracle = CompatibilityOracle(
+    def _negative_view(self, negatives: Iterable[Node]) -> CompatibilityOracle:
+        """The negatives, their cover and this learner's language index in one oracle."""
+        return CompatibilityOracle(
             self.graph,
-            sorted(examples.negative_nodes, key=str),
+            negatives,
             max_length=self.max_path_length,
             index=self.workspace.language_index(self.graph, self.max_path_length),
         )
-        return oracle.compatible
 
     def learn(self, examples: ExampleSet) -> LearningOutcome:
         """Run both steps and return the learned query with diagnostics.
@@ -182,17 +179,12 @@ class PathQueryLearner:
             return False
         negatives = [event.node for event in events]
         _raise_first_absent(self.graph, negatives)
-        oracle = CompatibilityOracle(
-            self.graph,
-            negatives,
-            max_length=self.max_path_length,
-            index=self.workspace.language_index(self.graph, self.max_path_length),
-        )
-        return oracle.compatible(dfa)
+        return self._negative_view(negatives).compatible(dfa)
 
     def _learn(self, examples: ExampleSet) -> LearningOutcome:
-        """Both steps from scratch, with the consistency certificate."""
-        sample_words = self.select_sample_words(examples)
+        """Both steps and the consistency certificate, all reading one negative view."""
+        negatives = self._negative_view(examples.negative_nodes)
+        sample_words = self.select_sample_words(examples, negatives)
         words = tuple(
             sorted(set(sample_words.values()), key=lambda word: (len(word), word_sort_key(word)))
         )
@@ -207,7 +199,7 @@ class PathQueryLearner:
             )
 
         if self.generalize:
-            learned = generalize_pta(words, self._compatible(examples))
+            learned = generalize_pta(words, self._compatible(negatives))
         else:
             from repro.automata.prefix_tree import build_pta
 
@@ -216,13 +208,13 @@ class PathQueryLearner:
         # workspace's canonical-form cache, so a re-learn that returns a
         # hypothesis seen before does no automata work
         query = PathQuery.from_dfa(learned, cache=self.workspace.canonical)
-        if self._certified(examples):
+        if self._certified(examples, negatives):
             report = ConsistencyReport(consistent=True)
         else:
             report = check_consistency(self.graph, query, examples, engine=self.engine)
         return LearningOutcome(query, query.dfa, words, report, self.generalize)
 
-    def _certified(self, examples: ExampleSet) -> bool:
+    def _certified(self, examples: ExampleSet, negatives: CompatibilityOracle) -> bool:
         """True when the construction proves the learned query consistent.
 
         The learned DFA accepts every sample word, since merges only add
@@ -231,21 +223,20 @@ class PathQueryLearner:
         the PTA, so it selects a negative exactly when a negative spells a
         sample word.  Step (i) picks words in their node's language and
         outside the negative cover; a validated word needs the same two
-        bit tests.  A word the index cannot decide (the empty word beside
-        a negative, a word beyond the bound, a node absent from the graph)
-        fails the certificate.
+        bit tests, read off the learn's negative view.  A word the index
+        cannot decide (the empty word beside a negative, a word beyond
+        the bound, a node absent from the graph) fails the certificate.
         """
         validated = examples.validated_words()
         if not validated:
             return True
-        negatives = examples.negative_nodes
-        index = self.workspace.language_index(self.graph, self.max_path_length)
-        cover = index.cover(negatives)
+        index = negatives.index
+        cover = negatives.cover_bits
         for node, word in validated.items():
             if node not in index or len(word) > self.max_path_length:
                 return False
             if not word:
-                if negatives:
+                if negatives.negatives:
                     return False  # every node spells the empty word
                 continue
             word_id = index.arena.lookup(word)

@@ -21,7 +21,7 @@ from repro.automata.prefix_tree import PathPrefixTree, build_path_prefix_tree
 from repro.exceptions import NoConsistentPathError, NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.graph.paths import has_word
-from repro.learning.language_index import LanguageIndex, _resolve_index
+from repro.learning.language_index import CompatibilityOracle, LanguageIndex, _resolve_index
 
 Word = Tuple[str, ...]
 
@@ -59,7 +59,6 @@ def consistent_words_for(
     negatives: Iterable[Node],
     *,
     max_length: int,
-    limit: Optional[int] = None,
     index: Optional[LanguageIndex] = None,
 ) -> List[Word]:
     """Words of ``node`` (length ≤ ``max_length``) covered by no negative.
@@ -76,22 +75,10 @@ def consistent_words_for(
     """
     negative_nodes = [item for item in negatives if item in graph]
     index = _resolve_index(graph, max_length, index)
-    banned = index.cover(negative_nodes)
-    uncovered = index.language(node) & ~banned
-    if limit is not None and limit <= 0:
-        return []
-    if limit == 1:
-        # pick_word reads the answer off the bitset without decoding (and
-        # sorting) the node's whole uncovered language
-        word = index.pick_word(uncovered)
-        if word is not None:
-            return [word]
-        return [()] if not negative_nodes else []
+    uncovered = index.language(node) & ~index.cover(negative_nodes)
     candidates = sorted(index.decode(uncovered), key=lambda word: (len(word), word))
     if not candidates and not negative_nodes:
         candidates = [()]
-    if limit is not None:
-        return candidates[:limit]
     return candidates
 
 
@@ -126,45 +113,38 @@ def select_path(
     raise NoConsistentPathError(node, max_length)
 
 
-def select_paths(
-    graph: LabeledGraph,
-    nodes: Iterable[Node],
-    negatives: Iterable[Node],
-    *,
-    max_length: int,
-    index: Optional[LanguageIndex] = None,
-) -> Dict[Node, Word]:
+def select_paths(nodes: Iterable[Node], negatives: CompatibilityOracle) -> Dict[Node, Word]:
     """:func:`select_path` for every node of ``nodes``, in one index sweep.
 
-    Each node gets the word :func:`select_path` would pick for it, with
-    the same ``()`` fallback when there is no negative.  Failures come in
-    the order of one :func:`select_path` call per node in ``str`` order:
-    the first node that fails decides, raising
+    ``negatives`` is a learn's negative view: its nodes, which must all be
+    in the graph, its index and their cover, built once per learn.  Each
+    node gets the word :func:`select_path` would pick for it against those
+    negatives, with the same ``()`` fallback when there is none.  Failures
+    come in the order of one :func:`select_path` call per node in ``str``
+    order: the first node that fails decides, raising
     :class:`NodeNotFoundError` when it is absent from the graph and
     :class:`NoConsistentPathError` when every word it spells is covered.
 
-    The negatives are filtered and their cover built once, and
     :meth:`LanguageIndex.pick_words` places every node in one walk over
     the uncovered words, so the cost grows with the uncovered words plus
     the nodes rather than with nodes × negatives.
     """
-    negative_nodes = [item for item in negatives if item in graph]
-    index = _resolve_index(graph, max_length, index)
+    index = negatives.index
     ordered = sorted(nodes, key=str)
     positions = [index.node_positions.get(node) for node in ordered]
     pending = 0
     for position in positions:
         if position is not None:
             pending |= 1 << position
-    picked = index.pick_words(pending, index.cover(negative_nodes))
+    picked = index.pick_words(pending, negatives.cover_bits)
     chosen: Dict[Node, Word] = {}
     for node, position in zip(ordered, positions):
         if position is None:
             raise NodeNotFoundError(node)
         word = picked.get(position)
         if word is None:
-            if negative_nodes:
-                raise NoConsistentPathError(node, max_length)
+            if negatives.negatives:
+                raise NoConsistentPathError(node, negatives.max_length)
             word = ()  # the empty-word fallback of select_path
         chosen[node] = word
     return chosen
@@ -233,16 +213,17 @@ def validate_word(
 
     The word must be spellable from the node and not covered by any
     negative example (the interactive UI only offers such words, but the
-    programmatic API re-checks before trusting a caller).  Negatives
-    absent from the graph are ignored, like in
+    programmatic API re-checks before trusting a caller).  The empty word
+    is legal only while no negative is in the graph, since every node
+    spells it.  Negatives absent from the graph are ignored, like in
     :func:`consistent_words_for` — this function validates caller input,
     so a speculative negative set must not turn the check into an error.
     """
-    if not has_word(graph, node, word):
+    if not has_word(graph, node, word) or len(word) > max_length:
         return False
-    if len(word) > max_length:
-        return False
+    negative_nodes = [item for item in negatives if item in graph]
+    if not word:
+        return not negative_nodes  # every node spells the empty word
     index = _resolve_index(graph, max_length, index)
-    banned = index.cover(node for node in negatives if node in graph)
     word_id = index.arena.lookup(word)
-    return word_id is None or not (banned >> word_id) & 1
+    return word_id is None or not index.cover(negative_nodes) >> word_id & 1

@@ -17,8 +17,10 @@ experiment E2 report them separately.
 One pass reaches the fixpoint.  An implied negative's language already
 lies inside the negative cover, so labelling it covers no new word, and
 an implied positive brings no validated word; neither can imply another
-label.  The pass reads the implied nodes straight from the session's
-:class:`~repro.learning.informativeness.SessionClassifier` flags.
+label.  The session's
+:class:`~repro.learning.informativeness.SessionClassifier` writes the
+pass and records it in its own flags (:meth:`SessionClassifier.propagate
+<repro.learning.informativeness.SessionClassifier.propagate>`).
 """
 
 from __future__ import annotations
@@ -55,18 +57,11 @@ def propagate_to_fixpoint(
 
     Nodes are labelled in node-table order.  The pass reaches the
     fixpoint, so running it twice in a row adds nothing the second time.
-    A session passes its own ``classifier`` so the pass reuses the
-    session's flags; without one the pass builds a classifier for this
-    call.
+    A session passes its own ``classifier``, which writes the pass and
+    records it; without one the pass builds a classifier for this call.
     """
-    implied = _resolve_classifier(graph, examples, max_length, classifier).implied_labels()
-    implied_positive = []
-    implied_negative = []
-    for node, positive in implied:
-        if positive:
-            examples.add_positive(node, propagated=True)
-            implied_positive.append(node)
-        else:
-            examples.add_negative(node, propagated=True)
-            implied_negative.append(node)
-    return PropagationResult(frozenset(implied_positive), frozenset(implied_negative))
+    implied = _resolve_classifier(graph, examples, max_length, classifier).propagate()
+    return PropagationResult(
+        frozenset(node for node, positive in implied if positive),
+        frozenset(node for node, positive in implied if not positive),
+    )

@@ -560,6 +560,20 @@ def _random_event(rng, graph, examples, max_length, classifier):
         )
     elif roll < 0.34:
         propagate_to_fixpoint(graph, examples, max_length=max_length, classifier=classifier)
+    elif roll < 0.46 and unlabeled:
+        # a caller's own propagated=True label, of either sign, on an
+        # implied or an informative node: no classifier wrote it, so each
+        # one must read it like a user's label
+        statuses = classify_all_scratch(graph, examples, max_length=max_length)
+        informative = [node for node in unlabeled if statuses[node].informative]
+        implied = [node for node in unlabeled if not statuses[node].informative]
+        pool = implied if implied and (rng.random() < 0.5 or not informative) else informative
+        node = rng.choice(pool)
+        if rng.random() < 0.5:
+            examples.add_negative(node, propagated=True)
+        else:
+            word = _random_word(rng, graph, max_length) if rng.random() < 0.3 else None
+            examples.add_positive(node, validated_word=word, propagated=True)
     elif unlabeled:
         node = rng.choice(unlabeled)
         if rng.random() < 0.5:
@@ -592,6 +606,7 @@ class TestCursorFlagsAndHeapMatchScratch:
             if rng.random() < 0.4:
                 assert classifier.most_informative() == (ranking[0] if ranking else None)
             assert classifier.informative() == ranking
+            assert classifier.statuses() == scratch
             assert classifier.informative_count() == sum(
                 status.informative for status in scratch.values()
             )
@@ -873,13 +888,12 @@ class TestOptionalAwareScore:
 class _EngineCompatibilityLearner(PathQueryLearner):
     """Reference learner: re-walks the graph per negative per merge candidate."""
 
-    def _compatible(self, examples):
+    def _compatible(self, negatives):
         graph = self.graph
         selects = self.engine.selects
-        negatives = sorted(examples.negative_nodes, key=str)
 
         def check(candidate):
-            return not any(selects(graph, candidate, node) for node in negatives)
+            return not any(selects(graph, candidate, node) for node in negatives.negatives)
 
         return check
 
@@ -1074,6 +1088,11 @@ def _reference_sample_words(graph, examples, max_length, index):
     return chosen
 
 
+def _sample_words(learner, examples):
+    """Step (i) against the negative view a full learn builds."""
+    return learner.select_sample_words(examples, learner._negative_view(examples.negative_nodes))
+
+
 class TestSelectSampleWordsSweep:
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_per_positive_select_path(self, seed):
@@ -1096,13 +1115,13 @@ class TestSelectSampleWordsSweep:
             if isinstance(expected, tuple):
                 error, node = expected
                 with pytest.raises(error) as raised:
-                    learner.select_sample_words(examples)
+                    _sample_words(learner, examples)
                 if error is InconsistentExamplesError:
                     assert raised.value.conflicting == (node,)
                 else:
                     assert raised.value.node == node
             else:
-                assert learner.select_sample_words(examples) == expected
+                assert _sample_words(learner, examples) == expected
 
     def test_validated_words_and_empty_word_fallback(self, figure1_graph):
         learner = PathQueryLearner(figure1_graph, max_path_length=3, workspace=GraphWorkspace())
@@ -1110,7 +1129,7 @@ class TestSelectSampleWordsSweep:
         examples.add_positive("C1")  # a sink: only the empty word
         examples.add_positive("N2", validated_word=("bus", "tram", "cinema"))
         examples.add_positive("N4")
-        assert learner.select_sample_words(examples) == {
+        assert _sample_words(learner, examples) == {
             "C1": (),
             "N2": ("bus", "tram", "cinema"),
             "N4": ("cinema",),
@@ -1124,17 +1143,18 @@ class TestSelectSampleWordsSweep:
         blocked_first.add_positive("N4")
         blocked_first.add_negative("N6")
         with pytest.raises(InconsistentExamplesError) as raised:
-            learner.select_sample_words(blocked_first)
+            _sample_words(learner, blocked_first)
         assert raised.value.conflicting == ("N4",)
         absent_first = ExampleSet()
         absent_first.add_positive("N4")
         absent_first.add_positive("A-ghost")
         absent_first.add_negative("N6")
         with pytest.raises(NodeNotFoundError):
-            learner.select_sample_words(absent_first)
+            _sample_words(learner, absent_first)
 
     def test_negatives_are_filtered_once_per_call(self, figure1_graph, monkeypatch):
-        # filtering the negatives again per positive costs |P| x |N| checks
+        # filtering the negatives again per positive costs |P| x |N| checks;
+        # a full learn checks them once, before it builds its negative view
         learner = PathQueryLearner(figure1_graph, max_path_length=3, workspace=GraphWorkspace())
         learner.workspace.language_index(figure1_graph, 3)
         examples = ExampleSet()
@@ -1150,5 +1170,29 @@ class TestSelectSampleWordsSweep:
             return contains(graph, node)
 
         monkeypatch.setattr(LabeledGraph, "__contains__", counting)
-        learner.select_sample_words(examples)
+        learner.learn(examples)
         assert len(checks) <= len(examples.negative_nodes)
+
+
+class TestOneNegativeViewPerLearn:
+    def test_a_full_learn_builds_one_cover(self, figure1_graph, monkeypatch):
+        # step (i), step (ii) and the certificate all read one negative view
+        learner = PathQueryLearner(figure1_graph, max_path_length=3, workspace=GraphWorkspace())
+        learner.workspace.language_index(figure1_graph, 3)
+        examples = ExampleSet()
+        examples.add_positive("N2", validated_word=("bus", "tram", "cinema"))
+        examples.add_positive("N6", validated_word=("cinema",))
+        examples.add_positive("N4")  # step (i) picks its word
+        examples.add_negative("N5")
+        covers = []
+        cover = LanguageIndex.cover
+
+        def counting(index, nodes):
+            covers.append(nodes)
+            return cover(index, nodes)
+
+        monkeypatch.setattr(LanguageIndex, "cover", counting)
+        outcome = learner.learn(examples)
+        assert outcome.consistent
+        assert outcome.query.same_language("(tram + bus)* . cinema")
+        assert len(covers) == 1

@@ -25,13 +25,18 @@ def evaluate(graph, query):
     return default_workspace().engine.evaluate(graph, query)
 
 
+def sample_words(learner, examples):
+    """Step (i) against the negative view a full learn builds."""
+    return learner.select_sample_words(examples, learner._negative_view(examples.negative_nodes))
+
+
 class TestSelectSampleWords:
     def test_validated_words_honoured(self, figure1_graph):
         learner = PathQueryLearner(figure1_graph)
         examples = ExampleSet()
         examples.add_positive("N2", validated_word=("bus", "tram", "cinema"))
         examples.add_negative("N5")
-        chosen = learner.select_sample_words(examples)
+        chosen = sample_words(learner, examples)
         assert chosen["N2"] == ("bus", "tram", "cinema")
 
     def test_shortest_uncovered_fallback(self, figure1_graph):
@@ -39,7 +44,7 @@ class TestSelectSampleWords:
         examples = ExampleSet()
         examples.add_positive("N4")
         examples.add_negative("N5")
-        chosen = learner.select_sample_words(examples)
+        chosen = sample_words(learner, examples)
         assert chosen["N4"] == ("cinema",)
 
     def test_inconsistent_positive_raises(self, figure1_graph):
@@ -48,7 +53,7 @@ class TestSelectSampleWords:
         examples.add_positive("N4")
         examples.add_negative("N6")  # N6 covers 'cinema', N4's only word
         with pytest.raises(InconsistentExamplesError):
-            learner.select_sample_words(examples)
+            sample_words(learner, examples)
 
 
 class TestLearn:
@@ -178,9 +183,9 @@ class _CountingLearner(PathQueryLearner):
         super().__init__(*args, **kwargs)
         self.full_learns = 0
 
-    def select_sample_words(self, examples):
+    def select_sample_words(self, examples, negatives):
         self.full_learns += 1
-        return super().select_sample_words(examples)
+        return super().select_sample_words(examples, negatives)
 
 
 class TestLearnCursor:

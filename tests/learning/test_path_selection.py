@@ -56,24 +56,6 @@ class TestConsistentWordsFor:
         assert ("bus",) not in words
         assert ("bus", "bus", "cinema") in words
 
-    def test_limit(self, figure1_graph):
-        words = consistent_words_for(figure1_graph, "N2", ["N5"], max_length=3, limit=2)
-        assert len(words) == 2
-
-    def test_limit_one_matches_full_head(self, figure1_graph):
-        # limit=1 takes the bitset fast path; it must agree with the
-        # sorted full enumeration
-        for node in ("N2", "N4", "N6"):
-            full = consistent_words_for(figure1_graph, node, ["N5"], max_length=3)
-            head = consistent_words_for(figure1_graph, node, ["N5"], max_length=3, limit=1)
-            assert head == full[:1]
-        assert consistent_words_for(figure1_graph, "C1", [], max_length=3, limit=1) == [()]
-        assert consistent_words_for(figure1_graph, "C1", ["C2"], max_length=3, limit=1) == []
-
-    def test_limit_zero_is_empty(self, figure1_graph):
-        assert consistent_words_for(figure1_graph, "N2", ["N5"], max_length=3, limit=0) == []
-        assert consistent_words_for(figure1_graph, "C1", [], max_length=3, limit=0) == []
-
     def test_sink_node_with_no_negatives_gets_empty_word(self, figure1_graph):
         assert consistent_words_for(figure1_graph, "C1", [], max_length=3) == [()]
 
@@ -158,3 +140,9 @@ class TestValidateWord:
             figure1_graph, "N2", ("bus", "bus", "cinema"), ["ghost"], max_length=3
         )
         assert not validate_word(figure1_graph, "N2", ("bus",), ["N1", "ghost"], max_length=3)
+
+    def test_empty_word_only_without_a_negative_in_the_graph(self, figure1_graph):
+        # every node spells the empty word, so a query accepting it selects N5
+        assert not validate_word(figure1_graph, "N2", (), ["N5"], max_length=3)
+        assert validate_word(figure1_graph, "N2", (), [], max_length=3)
+        assert validate_word(figure1_graph, "N2", (), ["ghost"], max_length=3)
