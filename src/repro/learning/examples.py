@@ -13,13 +13,18 @@ An :class:`ExampleSet` records
 The set is mutable (the session enriches it) but exposes immutable views.
 Every mutation appends a label to the history, so an incremental
 consumer can keep a position in it and read only the labels added since
-it last looked (:meth:`ExampleSet.events_since`).
+it last looked (:meth:`ExampleSet.events_since`, or
+:meth:`ExampleSet.labels_since` for the bare nodes).  A propagation pass
+(:meth:`ExampleSet.add_propagated`) appends one entry that covers all of
+its labels; the history shows them one :class:`LabeledExample` each,
+built when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InconsistentExamplesError
 from repro.graph.labeled_graph import Node
@@ -42,6 +47,20 @@ class LabeledExample:
         return "+" if self.positive else "-"
 
 
+@dataclass(frozen=True)
+class _Pass:
+    """One propagation pass: its nodes in order, its positive subset, its first position."""
+
+    nodes: Tuple[Node, ...]
+    positive: FrozenSet[Node]
+    start: int
+
+    def examples(self, offset: int) -> List[LabeledExample]:
+        """The pass's labels from its ``offset``-th on, as history values."""
+        positive = self.positive
+        return [LabeledExample(node, node in positive, None, True) for node in self.nodes[offset:]]
+
+
 class ExampleSet:
     """The evolving set of examples gathered during a session."""
 
@@ -50,6 +69,7 @@ class ExampleSet:
         self._negative: set = set()
         self._propagated_positive: set = set()
         self._propagated_negative: set = set()
+        #: one slot per label; every slot of a propagation pass holds its _Pass
         self._history: list = []
 
     # ------------------------------------------------------------------
@@ -71,11 +91,12 @@ class ExampleSet:
         previous = self._positive.get(node)
         if node in self._positive and word is None:
             word = previous
-        self._positive[node] = word
         if propagated:
-            self._propagated_positive.add(node)
+            if node not in self._positive:  # a user's positive stays the user's
+                self._propagated_positive.add(node)
         else:
             self._propagated_positive.discard(node)
+        self._positive[node] = word
         example = LabeledExample(node, True, word, propagated)
         self._history.append(example)
         return example
@@ -86,14 +107,46 @@ class ExampleSet:
             raise InconsistentExamplesError(
                 f"node {node!r} is already a positive example", conflicting=[node]
             )
-        self._negative.add(node)
         if propagated:
-            self._propagated_negative.add(node)
+            if node not in self._negative:  # a user's negative stays the user's
+                self._propagated_negative.add(node)
         else:
             self._propagated_negative.discard(node)
+        self._negative.add(node)
         example = LabeledExample(node, False, None, propagated)
         self._history.append(example)
         return example
+
+    def add_propagated(self, nodes: Sequence[Node], positive: Collection[Node]) -> None:
+        """Record one propagation pass: ``nodes`` in order, ``positive`` the positive ones.
+
+        Every node must be unlabelled; otherwise
+        :class:`InconsistentExamplesError` is raised before anything
+        changes, so a pass is recorded whole or not at all.  The pass
+        appends one history entry covering ``len(nodes)`` positions.
+        Reads rebuild its :class:`LabeledExample` values (positive ones
+        without a validated word, all of them ``propagated``) on every
+        call, so they are equal across reads but not the same objects.
+        """
+        positive = frozenset(positive)
+        members = set(nodes)
+        if not positive <= members:
+            raise ValueError("the positive nodes of a pass must be among its nodes")
+        if not (members.isdisjoint(self._negative) and members.isdisjoint(self._positive)):
+            labeled = [node for node in nodes if self.label_of(node) is not None]
+            raise InconsistentExamplesError(
+                f"node {labeled[0]!r} is already labelled", conflicting=labeled
+            )
+        if not members:
+            return
+        record = _Pass(tuple(nodes), positive, len(self._history))
+        negative = members - positive
+        self._negative |= negative
+        self._propagated_negative |= negative
+        if positive:
+            self._positive.update(dict.fromkeys(node for node in record.nodes if node in positive))
+            self._propagated_positive |= positive
+        self._history.extend(repeat(record, len(record.nodes)))
 
     # ------------------------------------------------------------------
     # inspection
@@ -141,20 +194,71 @@ class ExampleSet:
 
     @property
     def history(self) -> Tuple[LabeledExample, ...]:
-        """The full labelling history, in order."""
-        return tuple(self._history)
+        """The full labelling history, in order (see :meth:`events_since`)."""
+        return tuple(self.events_since(0))
 
     def __len__(self) -> int:
         """Number of labels in the history, read without copying it."""
         return len(self._history)
 
+    def _entries_since(self, position: int) -> Iterator[Tuple[Union[LabeledExample, _Pass], int]]:
+        """Each history entry from ``position`` on, with ``position``'s offset inside it."""
+        history = self._history
+        position = max(position, 0)
+        while position < len(history):
+            entry = history[position]
+            if isinstance(entry, _Pass):
+                yield entry, position - entry.start
+                position = entry.start + len(entry.nodes)
+            else:
+                yield entry, 0
+                position += 1
+
     def events_since(self, position: int) -> List[LabeledExample]:
-        """The labels appended to the history after its first ``position`` entries."""
-        return self._history[position:]
+        """The labels appended to the history after its first ``position`` entries.
+
+        A propagation pass's labels are rebuilt on each read, so their
+        values repeat across reads but their identity does not.  Nothing
+        is read when ``position`` is at the end of the history.
+        """
+        if position >= len(self._history):
+            return []
+        events: List[LabeledExample] = []
+        for entry, offset in self._entries_since(position):
+            if isinstance(entry, _Pass):
+                events.extend(entry.examples(offset))
+            else:
+                events.append(entry)
+        return events
+
+    def labels_since(self, position: int) -> Tuple[List[Node], List[Node]]:
+        """The positive and the negative nodes of :meth:`events_since`, in history order.
+
+        Equal to splitting ``events_since(position)`` by sign, but builds
+        no :class:`LabeledExample`; each read builds two new lists.
+        """
+        positives: List[Node] = []
+        negatives: List[Node] = []
+        for entry, offset in self._entries_since(position):
+            if isinstance(entry, _Pass):
+                nodes = entry.nodes[offset:]
+                positive = entry.positive
+                if positive:
+                    positives.extend(node for node in nodes if node in positive)
+                    negatives.extend(node for node in nodes if node not in positive)
+                else:
+                    negatives.extend(nodes)
+            elif entry.positive:
+                positives.append(entry.node)
+            else:
+                negatives.append(entry.node)
+        return positives, negatives
 
     def interaction_count(self) -> int:
         """Number of *user* labelling actions (propagated labels excluded)."""
-        return sum(1 for example in self._history if not example.propagated)
+        return sum(
+            1 for entry in self._history if isinstance(entry, LabeledExample) and not entry.propagated
+        )
 
     def is_empty(self) -> bool:
         """True when no example has been provided yet."""

@@ -187,6 +187,9 @@ class SessionClassifier:
     A propagation pass is appended by :meth:`propagate`, which records it
     in the labelled bits and moves the cursor past it, so a refresh reads
     only the labels others append, a caller's ``propagated=True`` too.
+    A pass is all or nothing: :meth:`ExampleSet.add_propagated
+    <repro.learning.examples.ExampleSet.add_propagated>` raises before it
+    changes anything, and the flags and cursor move only once it is in.
 
     Scores are never stored.  Because the cover only grows, a node's
     score ``(uncovered word count, shortest uncovered length)`` never
@@ -238,6 +241,9 @@ class SessionClassifier:
         cover = index.cover(examples.negative_nodes)
         validated = examples.validated_words()
         validated_bits = index.words_bitset(validated.values())
+        validated_spellers = 0
+        for word_id in iter_bits(validated_bits):
+            validated_spellers |= index.spellers(word_id)
         labeled = 0
         for position in map(index.node_positions.get, examples.labeled_nodes):
             if position is not None:  # a label outside the graph classifies nothing
@@ -259,6 +265,8 @@ class SessionClassifier:
         self._cover = cover
         self._validated = validated
         self._validated_bits = validated_bits
+        #: the nodes that spell a validated word: the implied positives' superset
+        self._validated_spellers = validated_spellers
         self._labeled = labeled
         self._informative = informative & ~labeled
         # packed heap keys: (-count << count_shift) + (shortest << rank_bits) + rank
@@ -292,6 +300,7 @@ class SessionClassifier:
         validated = self._validated
         cover = self._cover
         validated_bits = self._validated_bits
+        validated_spellers = self._validated_spellers
         labeled = self._labeled
         informative = self._informative
         grown = 0
@@ -306,7 +315,9 @@ class SessionClassifier:
                     word_id = index.arena.lookup(word)
                     if word_id is not None and not validated_bits >> word_id & 1:
                         validated_bits |= 1 << word_id
-                        informative &= ~index.spellers(word_id)
+                        spellers = index.spellers(word_id)
+                        validated_spellers |= spellers
+                        informative &= ~spellers
             else:
                 language = language_of(node)
                 grown |= language & ~cover
@@ -326,6 +337,7 @@ class SessionClassifier:
                     informative ^= 1 << position
         self._cover = cover
         self._validated_bits = validated_bits
+        self._validated_spellers = validated_spellers
         self._labeled = labeled
         self._informative = informative
         return True
@@ -423,41 +435,41 @@ class SessionClassifier:
         self.refresh()
         return popcount(self._informative)
 
-    def implied_labels(self) -> List[Tuple[Node, bool]]:
-        """Every unlabelled node whose label is implied, with that label.
+    def _implied(self) -> Tuple[int, int]:
+        """The implied nodes and the implied positives among them, as position bitsets.
 
-        In node-table order; the label is positive when the node spells a
-        validated word and negative otherwise (its language then lies
-        inside the negative cover).
+        An implied node is unlabelled and not informative.  It is positive
+        when it spells a validated word and negative otherwise (its
+        language then lies inside the negative cover).
         """
         self.refresh()
-        index = self._index
-        validated_bits = self._validated_bits
-        implied = ((1 << len(index.nodes)) - 1) & ~(self._labeled | self._informative)
-        return [
-            (node, bool(index.language(node) & validated_bits))
-            for node in index.nodes_of(implied)
-        ]
+        implied = ((1 << len(self._index.nodes)) - 1) & ~(self._labeled | self._informative)
+        return implied, implied & self._validated_spellers
 
-    def propagate(self) -> List[Tuple[Node, bool]]:
-        """Append every label of :meth:`implied_labels` as propagated, and record the pass.
+    def implied_labels(self) -> List[Tuple[Node, bool]]:
+        """Every unlabelled node whose label is implied, with that label, in node-table order."""
+        implied, positive = self._implied()
+        nodes = self._index.nodes
+        return [(nodes[position], bool(positive >> position & 1)) for position in iter_bits(implied)]
 
-        While the classifier is current an implied negative's language lies
-        inside the cover and an implied positive carries no validated word,
-        so the pass changes only the labelled bits: after it every node not
-        informative is labelled.  The cursor moves past the pass once every
-        label is in; the next :meth:`refresh` reads a pass cut short.
+    def propagate(self) -> Tuple[List[Node], List[Node]]:
+        """Append the implied labels as one propagation pass, and record it.
+
+        Returns the pass's nodes and its positive ones, both in node-table
+        order.  While the classifier is current an implied negative's
+        language lies inside the cover and an implied positive carries no
+        validated word, so the pass changes only the labelled bits: after
+        it every node not informative is labelled.  The pass is written
+        whole or not at all, so the cursor moves past it only once it is in.
         """
-        labels = self.implied_labels()
-        examples = self.examples
-        for node, positive in labels:
-            if positive:
-                examples.add_positive(node, propagated=True)
-            else:
-                examples.add_negative(node, propagated=True)
-        self._labeled = ((1 << len(self._index.nodes)) - 1) & ~self._informative
-        self._position += len(labels)
-        return labels
+        implied, positive = self._implied()
+        index = self._index
+        nodes = index.nodes_of(implied)
+        positives = index.nodes_of(positive)
+        self.examples.add_propagated(nodes, positives)
+        self._labeled |= implied
+        self._position += len(nodes)
+        return nodes, positives
 
     def __repr__(self) -> str:
         return (

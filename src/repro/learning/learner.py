@@ -173,11 +173,14 @@ class PathQueryLearner:
         return outcome
 
     def _only_rejected_negatives(self, examples: ExampleSet, position: int, dfa: DFA) -> bool:
-        """True when every label after ``position`` is a negative ``dfa`` does not select."""
-        events = examples.events_since(position)
-        if any(event.positive for event in events):
+        """True when every label after ``position`` is a negative ``dfa`` does not select.
+
+        Every negative since goes into the view, a propagated one too: a
+        cyclic hypothesis can select it through a path beyond the bound.
+        """
+        positives, negatives = examples.labels_since(position)
+        if positives:
             return False
-        negatives = [event.node for event in events]
         _raise_first_absent(self.graph, negatives)
         return self._negative_view(negatives).compatible(dfa)
 

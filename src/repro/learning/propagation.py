@@ -10,9 +10,10 @@ propagates the consequences of that label to the rest of the graph:
   negative nodes can never be selected consistently → it receives an
   implied **negative** label.
 
-Propagated labels are recorded in the example set with ``propagated=True``
-so they never count as user interactions, and the pruning statistics of
-experiment E2 report them separately.
+Propagated labels are recorded in the example set as propagated
+(:meth:`~repro.learning.examples.ExampleSet.add_propagated`, one history
+entry per pass) so they never count as user interactions, and the
+pruning statistics of experiment E2 report them separately.
 
 One pass reaches the fixpoint.  An implied negative's language already
 lies inside the negative cover, so labelling it covers no new word, and
@@ -60,8 +61,6 @@ def propagate_to_fixpoint(
     A session passes its own ``classifier``, which writes the pass and
     records it; without one the pass builds a classifier for this call.
     """
-    implied = _resolve_classifier(graph, examples, max_length, classifier).propagate()
-    return PropagationResult(
-        frozenset(node for node, positive in implied if positive),
-        frozenset(node for node, positive in implied if not positive),
-    )
+    nodes, positives = _resolve_classifier(graph, examples, max_length, classifier).propagate()
+    implied_positive = frozenset(positives)
+    return PropagationResult(implied_positive, frozenset(nodes) - implied_positive)

@@ -110,6 +110,19 @@ class TestPropagationAndHistory:
         assert examples.user_negative_nodes == {"a"}
         assert examples.user_positive_nodes == {"b"}
 
+    def test_propagated_label_keeps_the_users_flag_of_the_same_sign(self):
+        # a propagated label on a node the user already gave that sign leaves
+        # it a user label, so the user counts agree with interaction_count()
+        examples = ExampleSet()
+        examples.add_negative("a")
+        examples.add_negative("a", propagated=True)
+        examples.add_positive("b", validated_word=("x",))
+        examples.add_positive("b", propagated=True)
+        assert examples.interaction_count() == 2
+        assert examples.user_negative_nodes == {"a"}
+        assert examples.user_positive_nodes == {"b"}
+        assert examples.validated_word("b") == ("x",)
+
     def test_history_order_and_signs(self):
         examples = ExampleSet()
         examples.add_positive("a")
@@ -189,6 +202,46 @@ class TestHistoryCursor:
         examples.add_negative("b", propagated=True)
         examples.add_positive("a", validated_word=("y",))
         assert len(examples) == len(examples.history) == 3
+
+    def test_a_pass_reads_back_one_label_per_node(self):
+        examples = ExampleSet()
+        examples.add_positive("a", validated_word=("x",))
+        examples.add_propagated(["c", "b", "d"], {"b"})
+        pass_labels = [
+            LabeledExample("c", False, propagated=True),
+            LabeledExample("b", True, propagated=True),
+            LabeledExample("d", False, propagated=True),
+        ]
+        assert len(examples) == 4
+        assert examples.history == (LabeledExample("a", True, ("x",)), *pass_labels)
+        # a position inside the pass reads the rest of it
+        assert examples.events_since(2) == pass_labels[1:]
+        assert examples.labels_since(2) == (["b"], ["d"])
+        assert examples.labels_since(0) == (["a", "b"], ["c", "d"])
+        assert examples.events_since(4) == [] and examples.labels_since(4) == ([], [])
+        assert examples.positive_nodes == {"a", "b"}
+        assert examples.negative_nodes == {"c", "d"}
+        assert examples.user_positive_nodes == {"a"}
+        assert examples.user_negative_nodes == frozenset()
+        assert examples.interaction_count() == 1
+
+    def test_a_pass_with_a_labelled_node_changes_nothing(self):
+        examples = ExampleSet()
+        examples.add_negative("a")
+        examples.add_propagated(["b"], ())
+        for labelled in ("a", "b"):
+            with pytest.raises(InconsistentExamplesError) as raised:
+                examples.add_propagated(["c", labelled, "d"], {"d"})
+            assert raised.value.conflicting == (labelled,)
+        with pytest.raises(ValueError):
+            examples.add_propagated(["c"], {"d"})
+        assert examples.history == (LabeledExample("a", False), LabeledExample("b", False, propagated=True))
+        assert examples.labeled_nodes == {"a", "b"}
+
+    def test_an_empty_pass_journals_nothing(self):
+        examples = ExampleSet()
+        examples.add_propagated([], ())
+        assert len(examples) == 0 and examples.history == ()
 
     def test_a_session_never_copies_the_history(self, figure1_graph, monkeypatch):
         # the learner and the classifier take the cursor position from len()

@@ -20,7 +20,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.paths import words_from
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
-from repro.learning.examples import ExampleSet
+from repro.learning.examples import ExampleSet, LabeledExample
 from repro.learning.informativeness import (
     NodeStatus,
     SessionClassifier,
@@ -689,6 +689,93 @@ class TestCursorFlagsAndHeapMatchScratch:
 
 
 # ----------------------------------------------------------------------
+# a propagation pass journals as its labels appended one at a time
+# ----------------------------------------------------------------------
+class _PerNodeTwin(ExampleSet):
+    """An example set that also feeds every label it accepts to ``twin``, one node at a time."""
+
+    def __init__(self):
+        super().__init__()
+        self.twin = ExampleSet()
+
+    def add_positive(self, node, **options):
+        example = super().add_positive(node, **options)
+        self.twin.add_positive(node, **options)
+        return example
+
+    def add_negative(self, node, **options):
+        example = super().add_negative(node, **options)
+        self.twin.add_negative(node, **options)
+        return example
+
+    def add_propagated(self, nodes, positive):
+        super().add_propagated(nodes, positive)
+        for node in nodes:
+            if node in positive:
+                self.twin.add_positive(node, propagated=True)
+            else:
+                self.twin.add_negative(node, propagated=True)
+
+
+def _journal(examples):
+    """Everything a reader can observe of an example set, from every history position."""
+    positions = range(len(examples) + 2)
+    return (
+        examples.history,
+        len(examples),
+        [examples.events_since(position) for position in positions],
+        [examples.labels_since(position) for position in positions],
+        examples.positive_nodes,
+        examples.negative_nodes,
+        examples.user_positive_nodes,
+        examples.user_negative_nodes,
+        list(examples.validated_words().items()),
+        examples.interaction_count(),
+    )
+
+
+class TestJournalMatchesPerNodeHistory:
+    """A pass reads back exactly as its labels appended one at a time through a twin."""
+
+    def test_random_event_sequences(self):
+        mixed_passes = 0
+        workspace = GraphWorkspace()
+        for seed in range(12):
+            rng = random.Random(seed)
+            graph = random_graph(rng.randint(8, 30), rng.randint(20, 90), ("a", "b", "c"), seed=seed)
+            max_length = rng.choice((2, 3, 4))
+            examples = _PerNodeTwin()
+            twin = examples.twin
+            classifier = session_classifier(workspace, graph, examples, max_length=max_length)
+            for _ in range(24):
+                start = len(examples)
+                _random_event(rng, graph, examples, max_length, classifier)
+                # only a pass appends labels of both signs in one event
+                mixed_passes += len({event.positive for event in twin.events_since(start)}) == 2
+                observed = _journal(examples)
+                assert observed == _journal(twin)
+                assert _journal(examples.copy()) == _journal(twin.copy()) == observed
+                for position in range(len(twin) + 1):
+                    events = twin.events_since(position)
+                    assert twin.labels_since(position) == (
+                        [event.node for event in events if event.positive],
+                        [event.node for event in events if not event.positive],
+                    )
+                labelled = sorted(examples.labeled_nodes, key=str)
+                unlabelled = sorted(
+                    (node for node in graph.nodes() if examples.label_of(node) is None), key=str
+                )
+                if labelled and unlabelled and rng.random() < 0.3:
+                    # a pass with a labelled node among fresh ones is refused whole
+                    nodes = rng.sample(unlabelled, min(2, len(unlabelled))) + [rng.choice(labelled)]
+                    rng.shuffle(nodes)
+                    with pytest.raises(InconsistentExamplesError):
+                        examples.add_propagated(nodes, set(nodes[:1]))
+                    assert _journal(examples) == observed
+        assert mixed_passes > 0
+
+
+# ----------------------------------------------------------------------
 # the index's shared start state == a private start, after every event
 # ----------------------------------------------------------------------
 def _assert_same_classifier(shared, private):
@@ -1196,3 +1283,30 @@ class TestOneNegativeViewPerLearn:
         assert outcome.consistent
         assert outcome.query.same_language("(tram + bus)* . cinema")
         assert len(covers) == 1
+
+
+class TestOnePassOneEntry:
+    def test_a_session_builds_examples_only_for_the_users_labels(self, monkeypatch):
+        # each propagation pass is one history entry: no LabeledExample is
+        # built for a propagated label, and no reader asks for the history
+        graph = random_graph(60, 180, "abc", seed=3)
+        workspace = GraphWorkspace()
+        built = []
+        example_init = LabeledExample.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            example_init(self, *args, **kwargs)
+
+        def read(self):
+            raise AssertionError("the history was read")
+
+        monkeypatch.setattr(LabeledExample, "__init__", counting_init)
+        monkeypatch.setattr(ExampleSet, "history", property(read))
+        user = SimulatedUser(graph, "a . b", workspace=workspace)
+        session = InteractiveSession(graph, user, max_path_length=3, workspace=workspace)
+        result = session.run()
+        assert result.halted_by == "no-informative-node"
+        assert result.interactions == 4
+        assert len(session.examples) == 60
+        assert len(built) == 4
