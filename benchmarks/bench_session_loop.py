@@ -166,7 +166,8 @@ class _SeedLearner(PathQueryLearner):
         negatives = sorted(negatives.negatives, key=str)
 
         def check(candidate):
-            return not any(selects(graph, candidate, node) for node in negatives)
+            dfa = candidate.to_dfa()
+            return not any(selects(graph, dfa, node) for node in negatives)
 
         return check
 

@@ -28,7 +28,7 @@ from repro.automata.prefix_tree import (
     build_path_prefix_tree,
     build_pta,
 )
-from repro.automata.state_merging import generalize_pta, rpni
+from repro.automata.state_merging import QuotientView, generalize_pta, rpni
 from repro.automata.regex_synthesis import dfa_to_regex, dfa_to_regex_string
 from repro.automata.canonical import (
     CanonicalFormCache,
@@ -66,6 +66,7 @@ __all__ = [
     "PrefixTreeAcceptor",
     "build_path_prefix_tree",
     "build_pta",
+    "QuotientView",
     "generalize_pta",
     "rpni",
     "dfa_to_regex",

@@ -12,6 +12,12 @@ resulting quotient automaton still satisfies a caller-provided
 "the hypothesis does not cover any negative node", i.e. it accepts no word
 of any negative node's (bounded) path language.
 
+Each merge candidate is judged on its folded partition itself: the
+predicate reads a :class:`QuotientView`, whose block transitions are
+gathered from the members' PTA transitions only when a walk reaches the
+block.  The one :class:`~repro.automata.dfa.DFA` built from a partition is
+the result, once per run.
+
 Two public entry points:
 
 * :func:`rpni` — classic RPNI against an explicit set of negative words;
@@ -21,61 +27,58 @@ Two public entry points:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.automata.dfa import DFA
+from repro.automata.dfa import DFA, symbol_sort_key
 from repro.automata.prefix_tree import build_pta
 
 Word = Tuple[str, ...]
-Compatibility = Callable[[DFA], bool]
 
 
 class _Partition:
-    """Union-find over PTA states with deterministic representative choice.
+    """Quick-find partition of the PTA states ``0..n-1``.
 
-    The representative of a block is its smallest member (PTA states are
-    integers in BFS order), which keeps the merge order — and therefore
-    the learned automaton — deterministic across runs.
-
-    Every block additionally tracks an explicit member list, so folding
-    (:func:`_merge_and_fold`), frontier computation and partition
-    signatures iterate only over the blocks they touch instead of
-    re-walking the whole union-find per step.
+    ``_root`` maps every state to its block's representative, the block's
+    smallest member (PTA states are integers in BFS order), which keeps
+    the merge order — and therefore the learned automaton — deterministic
+    across runs.  ``_members`` maps each representative to its member
+    list.  A union relabels the members of the dropped block and stores
+    the merged member list as a new list, never extending one in place,
+    so a copy shares the member lists of its original.
     """
 
-    __slots__ = ("_parent", "_members")
+    __slots__ = ("_root", "_members")
 
     def __init__(self, states: Iterable[int]):
-        self._parent: Dict[int, int] = {state: state for state in states}
-        self._members: Dict[int, List[int]] = {state: [state] for state in self._parent}
+        # the states are exactly 0..n-1, so sorted they map each to itself
+        self._root: List[int] = sorted(states)
+        self._members: Dict[int, List[int]] = {state: [state] for state in self._root}
 
     def find(self, state: int) -> int:
-        root = state
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[state] != root:
-            self._parent[state], state = root, self._parent[state]
-        return root
+        return self._root[state]
 
     def union(self, first: int, second: int) -> int:
         """Merge the blocks of ``first`` and ``second``; return the representative."""
-        first_root, second_root = self.find(first), self.find(second)
+        root = self._root
+        first_root, second_root = root[first], root[second]
         if first_root == second_root:
             return first_root
         keep, drop = (first_root, second_root) if first_root < second_root else (second_root, first_root)
-        self._parent[drop] = keep
-        self._members[keep].extend(self._members.pop(drop))
+        moved = self._members.pop(drop)
+        for member in moved:
+            root[member] = keep
+        self._members[keep] = self._members[keep] + moved
         return keep
 
     def copy(self) -> "_Partition":
-        clone = _Partition(())
-        clone._parent = dict(self._parent)
-        clone._members = {root: list(members) for root, members in self._members.items()}
+        clone = _Partition.__new__(_Partition)
+        clone._root = self._root[:]
+        clone._members = dict(self._members)
         return clone
 
     def members(self, state: int) -> List[int]:
         """The member list of the block containing ``state`` (do not mutate)."""
-        return self._members[self.find(state)]
+        return self._members[self._root[state]]
 
     def roots(self) -> Iterable[int]:
         """The block representatives (one per block, unordered)."""
@@ -86,28 +89,106 @@ class _Partition:
         return {root: sorted(members) for root, members in self._members.items()}
 
 
-def _quotient(pta: DFA, partition: _Partition) -> DFA:
-    """Build the quotient DFA of ``pta`` under ``partition``.
+class _BlockMoves(dict):
+    """Block -> {symbol: block}, gathered from the members' PTA moves on first read."""
 
-    Assumes the partition has already been folded to determinism.  The
-    transition table is read block by block off the partition's member
-    lists — the source root is the block root, so only targets need a
-    ``find``.
+    __slots__ = ("_pta_moves", "_root", "_members")
+
+    def __init__(self, pta_moves: Dict[int, Dict[str, int]], partition: _Partition):
+        super().__init__()
+        self._pta_moves = pta_moves
+        self._root = partition._root
+        self._members = partition._members
+
+    def __missing__(self, block: int) -> Dict[str, int]:
+        pta_moves = self._pta_moves
+        root = self._root
+        moves: Dict[str, int] = {}
+        for member in self._members[block]:
+            for symbol, target in pta_moves[member].items():
+                moves[symbol] = root[target]
+        self[block] = moves
+        return moves
+
+
+class QuotientView:
+    """The quotient of a prefix-tree acceptor by a folded partition, read lazily.
+
+    The compatibility predicate of :func:`generalize_pta` receives one
+    view per merge candidate.  It reads like a
+    :class:`~repro.automata.dfa.DFA`: its states are the blocks (named by
+    their smallest member), ``initial_state``, ``_accepting`` (the set of
+    accepting blocks) and ``_transitions`` (block -> {symbol: block}) are
+    the attributes the DFA readers walk, and :meth:`accepts`,
+    :meth:`is_accepting`, :meth:`reachable_states` and
+    :meth:`productive_states` answer as the DFA methods do.  A block's
+    transitions are gathered from its members' PTA transitions the first
+    time a walk reaches it, so a predicate that stops at its first witness
+    pays only for the blocks it read.  :meth:`to_dfa` builds the quotient.
     """
-    transitions = pta._transitions
-    find = partition.find
-    quotient = DFA(find(pta.initial_state))
-    for representative in partition.roots():
-        quotient.add_state(representative)
-    quotient.set_initial(find(pta.initial_state))
-    quotient.declare_alphabet(pta.alphabet())
-    for root, members in partition._members.items():
-        for member in members:
-            for symbol, target in transitions[member].items():
-                quotient.add_transition(root, symbol, find(target))
-    for state in pta.accepting_states:
-        quotient.set_accepting(find(state))
-    return quotient
+
+    __slots__ = ("_pta", "_blocks", "initial_state", "_accepting", "_transitions")
+
+    def __init__(self, pta: DFA, partition: _Partition):
+        root = partition._root
+        self._pta = pta
+        self._blocks = partition._members
+        self.initial_state: int = root[pta.initial_state]
+        self._accepting: Set[int] = {root[state] for state in pta._accepting}
+        self._transitions: Dict[int, Dict[str, int]] = _BlockMoves(pta._transitions, partition)
+
+    def is_accepting(self, state: int) -> bool:
+        """True when block ``state`` holds an accepting PTA state."""
+        return state in self._accepting
+
+    def accepts(self, word: Sequence[str]) -> bool:
+        """True when ``word`` is in the quotient's language."""
+        transitions = self._transitions
+        state = self.initial_state
+        for symbol in word:
+            state = transitions[state].get(symbol)
+            if state is None:
+                return False
+        return state in self._accepting
+
+    def reachable_states(self) -> FrozenSet[int]:
+        """Every block: each PTA state is reached by its own prefix."""
+        return frozenset(self._blocks)
+
+    def productive_states(self) -> FrozenSet[int]:
+        """Every block when some word is accepted: each PTA state prefixes a sample word."""
+        return self.reachable_states() if self._accepting else frozenset()
+
+    def to_dfa(self) -> DFA:
+        """The quotient as a DFA with states ``0..n-1`` in BFS order.
+
+        Successors are visited in ``symbol_sort_key`` order, so the result
+        equals the quotient DFA after :meth:`~repro.automata.dfa.DFA.relabeled`
+        (every block is reachable, so there is nothing to trim).
+        """
+        transitions = self._transitions
+        order = [self.initial_state]
+        index = {self.initial_state: 0}
+        for block in order:  # the list grows while it is read: a BFS queue
+            moves = transitions[block]
+            for symbol in sorted(moves, key=symbol_sort_key):
+                target = moves[symbol]
+                if target not in index:
+                    index[target] = len(order)
+                    order.append(target)
+        dfa = DFA(0)
+        for number in range(1, len(order)):
+            dfa.add_state(number)
+        for number, block in enumerate(order):
+            if block in self._accepting:
+                dfa.set_accepting(number)
+            for symbol, target in transitions[block].items():
+                dfa.add_transition(number, symbol, index[target])
+        dfa.declare_alphabet(self._pta.alphabet())
+        return dfa
+
+
+Compatibility = Callable[[QuotientView], bool]
 
 
 def _merge_and_fold(pta: DFA, partition: _Partition, red: int, blue: int) -> _Partition:
@@ -117,24 +198,24 @@ def _merge_and_fold(pta: DFA, partition: _Partition, red: int, blue: int) -> _Pa
     """
     candidate = partition.copy()
     transitions = pta._transitions
+    root = candidate._root
+    members = candidate._members
     worklist: List[Tuple[int, int]] = [(red, blue)]
     while worklist:
         first, second = worklist.pop()
-        first_root, second_root = candidate.find(first), candidate.find(second)
-        if first_root == second_root:
+        if root[first] == root[second]:
             continue
-        merged_root = candidate.union(first_root, second_root)
+        merged_root = candidate.union(first, second)
         # collect the outgoing transitions of every member of the merged
         # block (reading its member list directly; the folded closure is
         # the unique determinising congruence, so the member iteration
         # order cannot change the result)
-        find = candidate.find
         outgoing: Dict[str, int] = {}
-        for member in candidate.members(merged_root):
+        for member in members[merged_root]:
             for symbol, target in transitions[member].items():
-                target_root = find(target)
+                target_root = root[target]
                 known = outgoing.get(symbol)
-                if known is not None and find(known) != target_root:
+                if known is not None and root[known] != target_root:
                     worklist.append((known, target_root))
                 else:
                     outgoing[symbol] = target_root
@@ -149,16 +230,12 @@ def generalize_pta(
 ) -> DFA:
     """Generalise the PTA of ``positive_words`` by state merging.
 
-    ``compatible`` receives a candidate quotient DFA and must return True
-    when the candidate is acceptable (e.g. covers no negative example).
-    The PTA itself must be compatible — callers are expected to have
-    chosen consistent positive words beforehand.
-
-    Compatibility verdicts are memoised per *merge partition signature*
-    (the canonical block decomposition of the candidate): two merge
-    attempts that fold to the same partition denote the same quotient
-    automaton, so the — potentially expensive — predicate runs once per
-    distinct candidate within a generalisation run.
+    ``compatible`` receives each merge candidate as a
+    :class:`QuotientView` of the PTA and must return True when the
+    candidate is acceptable (e.g. covers no negative example).  The PTA
+    itself must be compatible — callers are expected to have chosen
+    consistent positive words beforehand.  The result is the one DFA built
+    from a partition, with its states numbered in BFS order.
 
     ``max_merges`` optionally caps the number of accepted merges (used by
     ablation benchmarks to study partially generalised hypotheses).
@@ -168,19 +245,6 @@ def generalize_pta(
     partition = _Partition(pta.states)
     red: List[int] = [pta.initial_state]
     merges_done = 0
-    verdicts: Dict[Tuple[int, ...], bool] = {}
-    state_count = pta.state_count()
-
-    def partition_signature(candidate: _Partition) -> Tuple[int, ...]:
-        # the root of every state, in state order: a canonical encoding of
-        # the block decomposition (roots are the smallest block members;
-        # PTA states are exactly 0..n-1, so an array scatter beats n finds)
-        signature = [0] * state_count
-        for root, members in candidate._members.items():
-            for member in members:
-                signature[member] = root
-        return tuple(signature)
-
     transitions = pta._transitions
 
     def blue_states() -> List[int]:
@@ -189,12 +253,12 @@ def generalize_pta(
         # visited (earlier revisions walked every PTA state per round, or
         # worse, built the whole quotient DFA per loop iteration)
         frontier: Set[int] = set()
-        find = partition.find
-        red_roots = {find(state) for state in red}
+        root = partition._root
+        red_roots = {root[state] for state in red}
         for red_root in sorted(red_roots):
-            for member in partition.members(red_root):
+            for member in partition._members[red_root]:
                 for target in transitions[member].values():
-                    target_root = find(target)
+                    target_root = root[target]
                     if target_root not in red_roots:
                         frontier.add(target_root)
         return sorted(frontier)
@@ -206,21 +270,17 @@ def generalize_pta(
         blue = frontier[0]
         merged = False
         if max_merges is None or merges_done < max_merges:
-            for red_state in sorted({partition.find(state) for state in red}):
+            root = partition._root
+            for red_state in sorted({root[state] for state in red}):
                 candidate = _merge_and_fold(pta, partition, red_state, blue)
-                signature = partition_signature(candidate)
-                verdict = verdicts.get(signature)
-                if verdict is None:
-                    verdict = compatible(_quotient(pta, candidate))
-                    verdicts[signature] = verdict
-                if verdict:
+                if compatible(QuotientView(pta, candidate)):
                     partition = candidate
                     merges_done += 1
                     merged = True
                     break
         if not merged:
             red.append(blue)
-    return _quotient(pta, partition).trim().relabeled()
+    return QuotientView(pta, partition).to_dfa()
 
 
 def rpni(
@@ -240,7 +300,7 @@ def rpni(
     if overlap:
         raise ValueError(f"samples are inconsistent; words in both sets: {sorted(overlap)}")
 
-    def compatible(candidate: DFA) -> bool:
+    def compatible(candidate: QuotientView) -> bool:
         return not any(candidate.accepts(word) for word in negatives)
 
     return generalize_pta(positives, compatible, max_merges=max_merges)

@@ -653,8 +653,10 @@ class CompatibilityOracle:
     An instance is also a learn's negative view, one per full learn,
     shared by step (i), step (ii) and the consistency certificate; the
     negatives are kept unsorted, since no verdict depends on their order.
-    Memoisation across merge attempts within one generalisation run
-    happens in :func:`repro.automata.state_merging.generalize_pta`.
+    Step (ii) passes each merge candidate as a
+    :class:`~repro.automata.state_merging.QuotientView`, which every step
+    above reads exactly as it reads a DFA, gathering only the blocks it
+    reaches.
     """
 
     __slots__ = ("graph", "negatives", "index", "cover_bits", "max_length")

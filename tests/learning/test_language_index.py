@@ -980,7 +980,8 @@ class _EngineCompatibilityLearner(PathQueryLearner):
         selects = self.engine.selects
 
         def check(candidate):
-            return not any(selects(graph, candidate, node) for node in negatives.negatives)
+            dfa = candidate.to_dfa()
+            return not any(selects(graph, dfa, node) for node in negatives.negatives)
 
         return check
 
@@ -1001,7 +1002,13 @@ class TestCompatibilityOracle:
         assert not oracle.compatible(dfa)
 
     def test_matches_engine_predicate_on_random_candidates(self):
-        # quotients of random PTAs vs the engine's per-negative check
+        # quotients of random PTAs vs the engine's per-negative check; each
+        # folded candidate is judged both as the view generalize_pta passes
+        # and as the DFA it builds, on the one oracle path
+        from repro.automata.prefix_tree import build_pta
+        from repro.automata.state_merging import QuotientView, _Partition, _merge_and_fold
+        from repro.learning.language_index import _longest_accepted_length
+
         engine = QueryEngine()
         for seed in range(8):
             rng = random.Random(seed)
@@ -1009,27 +1016,28 @@ class TestCompatibilityOracle:
             nodes = sorted(graph.nodes(), key=str)
             negatives = rng.sample(nodes, 4)
             oracle = CompatibilityOracle(graph, negatives, max_length=3)
-            from repro.automata.prefix_tree import build_pta
-            from repro.automata.state_merging import _Partition, _merge_and_fold, _quotient
 
             words = [
                 tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
                 for _ in range(rng.randint(2, 5))
             ]
             pta = build_pta(words)
-            candidates = [pta]
+            candidates = [(pta, pta)]
             states = sorted(pta.states)
             for _ in range(6):
                 partition = _Partition(pta.states)
                 folded = _merge_and_fold(
                     pta, partition, rng.choice(states), rng.choice(states)
                 )
-                candidates.append(_quotient(pta, folded))
-            for candidate in candidates:
-                expected = not any(
-                    engine.selects(graph, candidate, node) for node in negatives
-                )
+                view = QuotientView(pta, folded)
+                dfa = view.to_dfa()
+                assert _longest_accepted_length(view) == _longest_accepted_length(dfa)
+                # a fresh view, so the oracle gathers the blocks it reads itself
+                candidates.append((QuotientView(pta, folded), dfa))
+            for candidate, dfa in candidates:
+                expected = not any(engine.selects(graph, dfa, node) for node in negatives)
                 assert oracle.compatible(candidate) == expected
+                assert oracle.compatible(dfa) == expected
 
     def test_learner_modes_learn_identical_queries(self):
         for seed in range(6):
